@@ -23,7 +23,7 @@
 //!   [`DeltaBatch`](crate::DeltaBatch) **once**, and routes work only to the views
 //!   whose programs read the touched relations — `k` views over one stream cost one
 //!   normalization, not `k`.
-//! * **Failure-atomic ingest.** By default every update and batch is *staged* on all
+//! * **Failure-atomic ingest.** Every update and batch is *staged* on all
 //!   touched views and committed only when all of them succeed; a failure (including
 //!   a panicking engine) rolls every view back, so a rejected batch lands nowhere. A
 //!   view whose engine panicked is **quarantined** — reads refuse it, ingest skips
@@ -49,9 +49,8 @@ use dbring_algebra::Number;
 use dbring_compiler::{compile, generate_nc0c, Diagnostic, TriggerProgram};
 use dbring_relations::{BatchNormalizer, Database, DeltaBatch, Interner, Snapshot, Update, Value};
 use dbring_runtime::{
-    boxed_engine, EngineRegistry, ExecStats, Executor, ParallelConfig, RuntimeError,
-    SnapshotAccess, SnapshotStore, StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot,
-    ViewStorage,
+    boxed_engine, EngineRegistry, ExecStats, Executor, RuntimeError, SnapshotAccess, SnapshotStore,
+    StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot, ViewStorage,
 };
 
 use crate::{Catalog, Error};
@@ -111,8 +110,6 @@ pub struct RingBuilder {
     snapshot: Snapshot,
     backend: StorageBackend,
     track_base: bool,
-    parallel: ParallelConfig,
-    staged: bool,
 }
 
 impl RingBuilder {
@@ -125,8 +122,6 @@ impl RingBuilder {
             snapshot: Snapshot::new(),
             backend: StorageBackend::Hash,
             track_base: true,
-            parallel: ParallelConfig::default(),
-            staged: true,
         }
     }
 
@@ -139,8 +134,6 @@ impl RingBuilder {
             catalog: db.schema_only(),
             backend: StorageBackend::Hash,
             track_base: true,
-            parallel: ParallelConfig::default(),
-            staged: true,
         }
     }
 
@@ -148,37 +141,6 @@ impl RingBuilder {
     /// [`StorageBackend::Hash`]).
     pub fn backend(mut self, backend: StorageBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Sets the thread budget for batch ingest: how many worker threads
-    /// [`Ring::apply_batch`] may fan a shared batch out on across views, and how many
-    /// key-range shards a single view may split a large batched flush into. Default:
-    /// available parallelism, overridable with the `DBRING_INGEST_THREADS`
-    /// environment variable. `threads = 1` (values clamp to at least 1) forces the
-    /// exact sequential path. Results are identical either way for integer
-    /// aggregates; float aggregates may differ by rounding, as with any
-    /// accumulation-order change.
-    pub fn ingest_threads(mut self, threads: usize) -> Self {
-        self.parallel = ParallelConfig::with_threads(threads);
-        self
-    }
-
-    /// Sets the full parallel-ingest configuration (see [`ParallelConfig`]);
-    /// [`RingBuilder::ingest_threads`] is the shorthand for the thread count alone.
-    pub fn parallelism(mut self, config: ParallelConfig) -> Self {
-        self.parallel = config;
-        self
-    }
-
-    /// Disables the stage/commit ingest protocol: failed updates and batches may then
-    /// leave *some* views applied and others not (the pre-staging contract), in
-    /// exchange for skipping the pre-image logging staged ingest pays per write. The
-    /// deterministic lowest-slot error contract is unaffected. Exists for measurement
-    /// (the `exp_faults` baseline) and for pipelines that discard the whole ring on
-    /// any error anyway.
-    pub fn without_staged_ingest(mut self) -> Self {
-        self.staged = false;
         self
     }
 
@@ -194,15 +156,13 @@ impl RingBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> Ring {
-        let mut registry = EngineRegistry::with_parallelism(self.parallel);
-        registry.set_staging(self.staged);
         Ring {
             catalog: self.catalog,
             snapshot: self.snapshot,
             backend: self.backend,
             track_base: self.track_base,
             ingested: 0,
-            registry,
+            registry: EngineRegistry::new(),
             infos: Vec::new(),
             names: BTreeMap::new(),
             normalizer: BatchNormalizer::new(),
@@ -358,16 +318,11 @@ impl Ring {
         self.backend
     }
 
-    /// The configured batch-ingest thread budget (see
-    /// [`RingBuilder::ingest_threads`]); `1` means strictly sequential ingest.
+    /// Kept for the benchmark, which reports it; it has no effect on ingest and
+    /// always returns `1`. Ingest is sequential: one stage → commit pass over the
+    /// touched views on the caller's thread.
     pub fn ingest_threads(&self) -> usize {
-        self.registry.parallelism().threads
-    }
-
-    /// Whether ingest runs the stage/commit protocol (the default; see
-    /// [`RingBuilder::without_staged_ingest`]).
-    pub fn staged_ingest(&self) -> bool {
-        self.registry.staging()
+        1
     }
 
     /// Number of live views.
@@ -826,17 +781,14 @@ impl Ring {
     /// Zero-multiplicity updates are explicit no-ops. Quarantined views are skipped
     /// (they catch up through [`Ring::repair_view`]'s snapshot backfill).
     ///
-    /// **All-or-nothing across views** (with staged ingest, the default): the catalog
-    /// check vets relation and arity, and when a trigger still fails on the values
+    /// **All-or-nothing across views:** the catalog check vets relation and arity, and when a trigger still fails on the values
     /// themselves (e.g. a string reaching an arithmetic position) the update is
     /// rolled back from every view that already staged it — a rejected update lands
     /// *nowhere*: no view, no snapshot, no counter. A panicking view engine surfaces
     /// as [`RuntimeError::EnginePanicked`] and quarantines that view; sibling views
-    /// still roll back cleanly. (With
-    /// [`RingBuilder::without_staged_ingest`] a mid-fan-out failure instead leaves
-    /// earlier views updated; the snapshot records only fully-applied updates either
-    /// way, so a rejected update can never poison future
-    /// [`create_view`](Ring::create_view) backfills.)
+    /// still roll back cleanly. The snapshot records only fully-applied updates, so a
+    /// rejected update can never poison future [`create_view`](Ring::create_view)
+    /// backfills.
     pub fn apply(&mut self, update: &Update) -> Result<(), Error> {
         if update.multiplicity == 0 {
             return Ok(());
@@ -882,8 +834,7 @@ impl Ring {
     /// fails with *nothing* landed. Runtime failures past that point (a trigger
     /// choking on the values themselves) stop the sequence at the failing update:
     /// every update before it is applied everywhere, the failing update itself lands
-    /// nowhere (each update is all-or-nothing across views under staged ingest — see
-    /// [`Ring::apply`]), and the error is wrapped in [`RuntimeError::AtUpdate`]
+    /// nowhere (each update is all-or-nothing across views — see [`Ring::apply`]), and the error is wrapped in [`RuntimeError::AtUpdate`]
     /// carrying the failing index so callers know exactly how many landed.
     pub fn apply_all<'a>(
         &mut self,
@@ -921,7 +872,7 @@ impl Ring {
     /// (integer aggregates bit-identically; float aggregates up to IEEE reordering —
     /// see [`IncrementalView::apply_batch`](crate::IncrementalView::apply_batch)).
     ///
-    /// **Failure atomicity** (with staged ingest, the default): catalog failures
+    /// **Failure atomicity:** catalog failures
     /// land nothing, and a runtime failure during fan-out also lands nothing — every
     /// touched view *stages* the batch (applying it while logging pre-images) and
     /// commits only if all of them succeed, so on error each staged view is rolled
@@ -929,13 +880,10 @@ impl Ring {
     /// surfaces as [`RuntimeError::EnginePanicked`], quarantines that view (see
     /// [`Ring::repair_view`]), and still rolls every sibling back. Staging costs one
     /// pre-image record per map write for the duration of the batch — memory
-    /// proportional to the batch's write set, not to the views. When the ring was
-    /// built with [`RingBuilder::ingest_threads`] above one, touched views stage
-    /// concurrently; the error contract stays deterministic regardless: if several
-    /// views fail on the same batch, the failure reported is always the one from the
-    /// **lowest-numbered view slot** — exactly the error sequential dispatch would
-    /// have returned. With [`RingBuilder::without_staged_ingest`], sibling views may
-    /// instead keep the batch on error (the pre-staging contract).
+    /// proportional to the batch's write set, not to the views. Touched views stage
+    /// one after another in slot order, so if several views would fail on the same
+    /// batch, the failure reported is the one from the **lowest-numbered view
+    /// slot**.
     ///
     /// [`IncrementalView`]: crate::IncrementalView
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error> {
@@ -961,7 +909,7 @@ impl Ring {
     ///
     /// Shares [`Ring::apply_batch`]'s failure contract: on a runtime error the batch
     /// has landed nowhere — every staged view rolled back, snapshot untouched — and
-    /// under parallel dispatch the reported error is the lowest-slot failure.
+    /// the reported error is the lowest-slot failure.
     pub fn apply_delta_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<(), Error> {
         for group in batch.groups() {
             let expected = match self.catalog.columns(group.relation()) {
@@ -1593,38 +1541,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ingest_matches_sequential_ingest_exactly() {
-        let updates: Vec<Update> = (0..60)
-            .map(|i| sale(i % 7, 10 * (i % 4 + 1), i % 3 + 1))
-            .chain((0..9).map(|i| sale(i % 7, 10, 1).inverse()))
-            .collect();
-        let defs = [
-            ("revenue", "q[c] := Sum(Sales(c, p, n) * p * n)"),
-            ("orders", "q[c] := Sum(Sales(c, p, n))"),
-            ("units", "q[c] := Sum(Sales(c, p, n) * n)"),
-            ("total", "q := Sum(Sales(c, p, n) * p * n)"),
-        ];
-        let mut sequential = RingBuilder::new(sales_catalog()).ingest_threads(1).build();
-        let mut parallel = RingBuilder::new(sales_catalog()).ingest_threads(4).build();
-        assert_eq!(sequential.ingest_threads(), 1);
-        assert_eq!(parallel.ingest_threads(), 4);
-        for (name, text) in defs {
-            sequential.create_view(name, ViewDef::Agca(text)).unwrap();
-            parallel.create_view(name, ViewDef::Agca(text)).unwrap();
-        }
-        for chunk in updates.chunks(20) {
-            sequential.apply_batch(chunk).unwrap();
-            parallel.apply_batch(chunk).unwrap();
-        }
-        for (name, _) in defs {
-            let seq = sequential.view_named(name).unwrap();
-            let par = parallel.view_named(name).unwrap();
-            assert_eq!(seq.table(), par.table(), "{name}: tables diverged");
-            assert_eq!(seq.stats(), par.stats(), "{name}: stats diverged");
-        }
-    }
-
-    #[test]
     fn disabling_base_tracking_blocks_late_registration_only() {
         let mut ring = RingBuilder::new(sales_catalog())
             .without_base_tracking()
@@ -1756,53 +1672,6 @@ mod tests {
             tracked.repair_view(dropped),
             Err(Error::UnknownView { .. })
         ));
-    }
-
-    /// The builder's staging knob: staged ingest (default) makes a failed update
-    /// land nowhere; `without_staged_ingest` restores the pre-staging contract where
-    /// lower-slot siblings keep their writes.
-    #[test]
-    fn the_staging_knob_selects_between_atomic_and_direct_ingest() {
-        // Catalog-valid but the revenue view chokes on the string in an arithmetic
-        // position; the counting view accepts the same tuple.
-        let poison = Update::insert(
-            "Sales",
-            vec![Value::int(1), Value::str("x"), Value::str("y")],
-        );
-        let build = |staged: bool| {
-            let builder = RingBuilder::new(sales_catalog()).ingest_threads(1);
-            let builder = if staged {
-                builder
-            } else {
-                builder.without_staged_ingest()
-            };
-            let mut ring = builder.build();
-            let orders = ring
-                .create_view("orders", ViewDef::Agca("q[c] := Sum(Sales(c, p, n))"))
-                .unwrap();
-            ring.create_view(
-                "revenue",
-                ViewDef::Agca("q[c] := Sum(Sales(c, p, n) * p * n)"),
-            )
-            .unwrap();
-            (ring, orders)
-        };
-        let (mut staged, orders) = build(true);
-        assert!(staged.staged_ingest());
-        staged
-            .apply_batch(std::slice::from_ref(&poison))
-            .unwrap_err();
-        assert!(staged.view(orders).unwrap().table().is_empty(), "atomic");
-        assert_eq!(staged.view(orders).unwrap().stats().updates, 0);
-
-        let (mut direct, orders) = build(false);
-        assert!(!direct.staged_ingest());
-        direct.apply_batch(&[poison]).unwrap_err();
-        assert_eq!(
-            direct.view(orders).unwrap().table().len(),
-            1,
-            "direct mode lets the lower slot keep the batch"
-        );
     }
 
     #[test]

@@ -100,11 +100,6 @@ pub trait ViewEngine: std::fmt::Debug + Send {
     /// pre-stage state.
     fn abort_staged(&mut self, staged: StagedBatch);
 
-    /// The unlogged batch path: [`apply_batch`](ViewEngine::apply_batch) without the
-    /// pre-image log. **Not atomic on error** — kept for callers that own their own
-    /// recovery and as the staging-overhead measurement baseline (`exp_faults`).
-    fn apply_batch_direct(&mut self, batch: &DeltaBatch<'_>) -> Result<(), RuntimeError>;
-
     /// Loads every materialized view from a non-empty starting database by evaluating
     /// its defining query (the initialization step of Section 1.1). The database is
     /// not retained.
@@ -121,15 +116,6 @@ pub trait ViewEngine: std::fmt::Debug + Send {
 
     /// Resets the work counters.
     fn reset_stats(&mut self);
-
-    /// Sets the engine's thread budget for *within-view* parallel work — today that
-    /// is sharding large batched flushes across key ranges. `1` (every engine's
-    /// initial state) disables it; engines without an internal parallel path ignore
-    /// the hint. Hosts propagate their
-    /// [`ParallelConfig`](crate::registry::ParallelConfig) here on registration.
-    fn set_parallelism(&mut self, threads: usize) {
-        let _ = threads;
-    }
 
     /// Total entries across the whole view hierarchy.
     fn total_entries(&self) -> usize;
@@ -198,10 +184,6 @@ macro_rules! impl_view_engine {
                 self.abort_staged(staged)
             }
 
-            fn apply_batch_direct(&mut self, batch: &DeltaBatch<'_>) -> Result<(), RuntimeError> {
-                self.apply_batch_direct(batch)
-            }
-
             fn initialize_from(&mut self, db: &Database) -> Result<(), EvalError> {
                 self.initialize_from(db)
             }
@@ -220,10 +202,6 @@ macro_rules! impl_view_engine {
 
             fn reset_stats(&mut self) {
                 self.reset_stats()
-            }
-
-            fn set_parallelism(&mut self, threads: usize) {
-                self.set_parallelism(threads)
             }
 
             fn total_entries(&self) -> usize {

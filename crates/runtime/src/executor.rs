@@ -204,7 +204,8 @@ struct UndoOp {
 /// arena — one fixed-size [`UndoOp`] per write plus the key values appended to one
 /// shared buffer. Logging a write therefore performs **no allocation** once the two
 /// vectors are warm (the executor recycles the log across batches), which is what
-/// keeps staged ingest within a few percent of the direct path.
+/// keeps staging cheap: E13 measured it at 0–14% over unlogged ingest at operating
+/// batch sizes.
 ///
 /// One pre-image per *distinct* `(map, key)` per batch suffices: only the first
 /// write to a key sees its pre-batch value, so [`UndoLog::push_once`] keeps a
@@ -362,9 +363,6 @@ pub struct Executor<S: ViewStorage = HashViewStorage> {
     dispatch: HashMap<String, [Option<usize>; 2]>,
     stats: ExecStats,
     scratch: Scratch,
-    /// Thread budget for sharding large batched flushes across key ranges; `1` (the
-    /// initial state) keeps every flush on the sequential `apply_sorted` path.
-    shard_threads: usize,
     /// Recycled undo-log allocation: staging takes it, commit/abort hand it back, so
     /// steady-state staging allocates nothing for the log itself.
     undo_pool: UndoLog,
@@ -432,25 +430,8 @@ impl<S: ViewStorage> Executor<S> {
             dispatch,
             stats: ExecStats::default(),
             scratch: Scratch::default(),
-            shard_threads: 1,
             undo_pool: UndoLog::default(),
         })
-    }
-
-    /// Sets the thread budget for sharding large batched flushes across contiguous
-    /// key ranges (see
-    /// [`ViewStorage::apply_sorted_sharded`]).
-    /// `1` (the initial state) keeps every flush on the sequential `apply_sorted`
-    /// path, exactly. Values are clamped to at least 1. The result is independent of
-    /// the budget for integer aggregates; float aggregates may differ by rounding,
-    /// as with any accumulation-order change.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.shard_threads = threads.max(1);
-    }
-
-    /// The configured shard-flush thread budget.
-    pub fn parallelism(&self) -> usize {
-        self.shard_threads
     }
 
     /// The compiled program this executor runs.
@@ -525,7 +506,7 @@ impl<S: ViewStorage> Executor<S> {
     /// [`Executor::stage_update`] when the caller needs all-or-nothing per-update
     /// semantics.
     pub fn apply(&mut self, update: &Update) -> Result<(), RuntimeError> {
-        self.apply_logged(update, &mut None)
+        self.apply_logged(update, None)
     }
 
     /// Stages a single-tuple update: applies it while logging pre-images, so the caller
@@ -536,7 +517,7 @@ impl<S: ViewStorage> Executor<S> {
     pub fn stage_update(&mut self, update: &Update) -> Result<StagedBatch, RuntimeError> {
         let stats_before = self.stats;
         let mut undo = std::mem::take(&mut self.undo_pool);
-        match self.apply_logged(update, &mut Some(&mut undo)) {
+        match self.apply_logged(update, Some(&mut undo)) {
             Ok(()) => Ok(StagedBatch { undo, stats_before }),
             Err(e) => {
                 rollback_maps(&mut self.maps, &undo);
@@ -556,7 +537,7 @@ impl<S: ViewStorage> Executor<S> {
     fn apply_logged(
         &mut self,
         update: &Update,
-        undo: &mut Option<&mut UndoLog>,
+        mut undo: Option<&mut UndoLog>,
     ) -> Result<(), RuntimeError> {
         if update.multiplicity == 0 {
             return Ok(());
@@ -599,7 +580,7 @@ impl<S: ViewStorage> Executor<S> {
         for _ in 0..update.multiplicity.unsigned_abs() {
             stats.updates += 1;
             for stmt in &trigger.statements {
-                run_statement(maps, stats, scratch, trigger, stmt, undo)?;
+                run_statement(maps, stats, scratch, trigger, stmt, undo.as_deref_mut())?;
             }
         }
         Ok(())
@@ -634,11 +615,8 @@ impl<S: ViewStorage> Executor<S> {
     /// * for triggers whose delta is degree ≤ 1 in the updated relation
     ///   ([`PlanTrigger::weighted_firing`]), one firing per *distinct* tuple with the
     ///   writes scaled by the tuple's consolidated weight — writes are buffered, sorted,
-    ///   consolidated and handed to [`ViewStorage::apply_sorted`] in one sequential pass
-    ///   per map (on ordered backends, a merge) — or, with a shard-thread budget above
-    ///   one (see [`Executor::set_parallelism`]), to
-    ///   [`ViewStorage::apply_sorted_sharded`],
-    ///   which lands large runs as concurrent contiguous key ranges;
+    ///   consolidated and handed to [`ViewStorage::apply_sorted_logged`] in one pass
+    ///   per map (on ordered backends, a merge) that also captures each pre-image;
     /// * for self-join-style triggers that read their own targets, a unit-replay
     ///   fallback preserving the exact per-tuple semantics.
     ///
@@ -653,9 +631,7 @@ impl<S: ViewStorage> Executor<S> {
     /// **Atomic per view:** this is [`stage_batch`](Executor::stage_batch) followed by
     /// an immediate [`commit_staged`](Executor::commit_staged), so on `Err` the engine's
     /// tables and [`ExecStats`] are bit-identical to before the call — on the weighted
-    /// path *and* the unit-replay path. Callers that own their own recovery (or are
-    /// measuring) can skip the pre-image log with
-    /// [`apply_batch_direct`](Executor::apply_batch_direct).
+    /// path *and* the unit-replay path.
     pub fn apply_batch(&mut self, batch: &DeltaBatch) -> Result<(), RuntimeError> {
         let staged = self.stage_batch(batch)?;
         self.commit_staged(staged);
@@ -676,7 +652,7 @@ impl<S: ViewStorage> Executor<S> {
     pub fn stage_batch(&mut self, batch: &DeltaBatch) -> Result<StagedBatch, RuntimeError> {
         let stats_before = self.stats;
         let mut undo = std::mem::take(&mut self.undo_pool);
-        match self.apply_batch_logged(batch, &mut Some(&mut undo)) {
+        match self.apply_batch_logged(batch, &mut undo) {
             Ok(()) => Ok(StagedBatch { undo, stats_before }),
             Err(e) => {
                 rollback_maps(&mut self.maps, &undo);
@@ -703,20 +679,10 @@ impl<S: ViewStorage> Executor<S> {
         self.recycle(staged.undo);
     }
 
-    /// The unlogged batch path: [`apply_batch`](Executor::apply_batch) without the
-    /// pre-image log — the pre-staging ingest path, kept for callers that own their own
-    /// recovery and as the measurement baseline for the staging overhead (`exp_faults`).
-    ///
-    /// **Not atomic:** a failing group leaves all previously processed groups applied,
-    /// and the failing group itself may be partially applied on the unit-replay path.
-    pub fn apply_batch_direct(&mut self, batch: &DeltaBatch) -> Result<(), RuntimeError> {
-        self.apply_batch_logged(batch, &mut None)
-    }
-
     fn apply_batch_logged(
         &mut self,
         batch: &DeltaBatch,
-        undo: &mut Option<&mut UndoLog>,
+        undo: &mut UndoLog,
     ) -> Result<(), RuntimeError> {
         let Self {
             plan,
@@ -724,10 +690,8 @@ impl<S: ViewStorage> Executor<S> {
             dispatch,
             stats,
             scratch,
-            shard_threads,
             ..
         } = self;
-        let shards = *shard_threads;
         if scratch.write_bufs.len() < maps.len() {
             scratch
                 .write_bufs
@@ -784,15 +748,13 @@ impl<S: ViewStorage> Executor<S> {
                     for _ in 0..*weight {
                         stats.updates += 1;
                         for stmt in &trigger.statements {
-                            run_statement(maps, stats, scratch, trigger, stmt, undo)?;
+                            run_statement(maps, stats, scratch, trigger, stmt, Some(undo))?;
                         }
                     }
                 }
             }
             if trigger.weighted_firing {
-                // Fire each affected map once: sort, consolidate, one pass — sharded
-                // across contiguous key ranges when a thread budget is configured and
-                // the consolidated run is large enough to pay for splitting.
+                // Fire each affected map once: sort, consolidate, one pass.
                 for stmt in &trigger.statements {
                     let arity = plan.map_arities[stmt.target];
                     let Scratch {
@@ -813,7 +775,7 @@ impl<S: ViewStorage> Executor<S> {
                     // *distinct* keys get sorted (exact `Value` order — strings fall
                     // back through the interner), and only the non-zero groups
                     // materialize as refs, still sorted ascending and unique as
-                    // `apply_sorted*` require.
+                    // `apply_sorted_logged` requires.
                     flush_pool.begin(arity, buf.accs.len());
                     flush_sums.clear();
                     flush_reps.clear();
@@ -837,29 +799,14 @@ impl<S: ViewStorage> Executor<S> {
                             refs.push((&buf.keys[f * arity..(f + 1) * arity], sum));
                         }
                     }
-                    // When staging, every key the flush touches is logged with its
-                    // pre-image, unchecked: keys in a consolidated run are unique,
-                    // and a key another flush of this batch already logged restores
-                    // correctly anyway (reverse order replays the true pre-image
-                    // last). The sequential path captures pre-images inside the
-                    // landing pass itself (`apply_sorted_logged` shares the lookup),
-                    // the sharded path in one probe pass up front.
-                    match (undo.as_deref_mut(), shards > 1) {
-                        (Some(undo), true) => {
-                            for (key, _) in &refs {
-                                let pre = maps[stmt.target].get(key);
-                                undo.push_unchecked(stmt.target, key, pre);
-                            }
-                            maps[stmt.target].apply_sorted_sharded(&refs, shards);
-                        }
-                        (Some(undo), false) => {
-                            maps[stmt.target].apply_sorted_logged(&refs, |key, pre| {
-                                undo.push_unchecked(stmt.target, key, pre)
-                            });
-                        }
-                        (None, true) => maps[stmt.target].apply_sorted_sharded(&refs, shards),
-                        (None, false) => maps[stmt.target].apply_sorted(&refs),
-                    }
+                    // Every key the flush touches is logged with its pre-image,
+                    // unchecked: keys in a consolidated run are unique, and a key
+                    // another flush of this batch already logged restores correctly
+                    // anyway (reverse order replays the true pre-image last). The
+                    // pre-image is captured inside the landing lookup itself.
+                    maps[stmt.target].apply_sorted_logged(&refs, |key, pre| {
+                        undo.push_unchecked(stmt.target, key, pre)
+                    });
                     drop(refs);
                     buf.keys.clear();
                     buf.accs.clear();
@@ -912,7 +859,7 @@ fn run_statement<S: ViewStorage>(
     scratch: &mut Scratch,
     trigger: &PlanTrigger,
     stmt: &PlanStatement,
-    undo: &mut Option<&mut UndoLog>,
+    mut undo: Option<&mut UndoLog>,
 ) -> Result<(), RuntimeError> {
     eval_statement_ops(maps, stats, scratch, trigger, stmt)?;
     // Apply the writes. All reads of this statement are complete (a statement never
@@ -935,7 +882,7 @@ fn run_statement<S: ViewStorage>(
         for &s in &stmt.target_slots {
             key_buf.push(cur_vals[row * stride + s as usize].clone());
         }
-        if let Some(undo) = undo {
+        if let Some(undo) = undo.as_deref_mut() {
             undo.push_once(stmt.target, key_buf, || target.get(key_buf));
         }
         target.add_ref(key_buf, stmt.coefficient.mul(&acc));
@@ -1468,45 +1415,6 @@ mod tests {
         assert_eq!(exec.output_value(&[Value::int(5)]), Number::Int(6));
     }
 
-    /// A sharded flush must land exactly what a sequential flush lands — tables,
-    /// entry counts, and work counters (the counters are accumulated while
-    /// buffering, before the flush, so sharding cannot move them).
-    #[test]
-    fn sharded_flush_matches_sequential_flush() {
-        let mut catalog = Database::new();
-        catalog.declare("Sales", &["cust", "cents", "qty"]).unwrap();
-        let q = dbring_agca::sql::parse_sql(
-            "SELECT cust, SUM(cents * qty) AS revenue FROM Sales GROUP BY cust",
-            &catalog,
-        )
-        .unwrap();
-        let program = compile(&catalog, &q).unwrap();
-        // Enough distinct group keys that the consolidated run clears the sharding
-        // threshold, plus weight and deletion mixing.
-        let updates: Vec<Update> = (0..600i64)
-            .map(|i| {
-                let values = vec![Value::int(i % 500), Value::int(i + 1), Value::int(2)];
-                if i % 11 == 3 {
-                    Update::delete("Sales", values)
-                } else {
-                    Update::insert("Sales", values)
-                }
-            })
-            .collect();
-        let mut sequential = Executor::new(program.clone());
-        let mut sharded = Executor::new(program);
-        sharded.set_parallelism(4);
-        assert_eq!(sharded.parallelism(), 4);
-        for chunk in updates.chunks(300) {
-            let batch = DeltaBatch::from_updates(chunk);
-            sequential.apply_batch(&batch).unwrap();
-            sharded.apply_batch(&batch).unwrap();
-        }
-        assert_eq!(sequential.output_table(), sharded.output_table());
-        assert_eq!(sequential.total_entries(), sharded.total_entries());
-        assert_eq!(sequential.stats(), sharded.stats());
-    }
-
     /// Satellite regression: the unit-replay path used to leave a failing group
     /// *partially* applied (the writes of earlier replayed updates landed immediately).
     /// With staging, a failed batch rolls back bit-exactly — tables and stats.
@@ -1571,16 +1479,17 @@ mod tests {
             .collect();
         assert_eq!(before, after, "abort must restore float bit patterns");
         assert_eq!(exec.stats(), stats);
-        // stage + commit matches a direct apply of the same batch, stats included.
+        // stage + commit matches applying the same updates one by one (distinct
+        // weight-1 tuples, so consolidation reorders nothing), stats included.
         let updates = [row(1, 0.2, 1), row(2, 0.3, 1)];
         let batch = DeltaBatch::from_updates(&updates);
-        let mut direct = Executor::new(program);
-        direct.apply(&row(1, 0.1, 1)).unwrap();
-        direct.apply_batch_direct(&batch).unwrap();
+        let mut per_tuple = Executor::new(program);
+        per_tuple.apply(&row(1, 0.1, 1)).unwrap();
+        per_tuple.apply_all(&updates).unwrap();
         let staged = exec.stage_batch(&batch).unwrap();
         exec.commit_staged(staged);
-        assert_eq!(exec.output_table(), direct.output_table());
-        assert_eq!(exec.stats(), direct.stats());
+        assert_eq!(exec.output_table(), per_tuple.output_table());
+        assert_eq!(exec.stats(), per_tuple.stats());
     }
 
     /// A failed `stage_update` rolls back even partial multiplicity firings, while the

@@ -4,9 +4,8 @@
 //! verbatim — except that a globally *armed* [`FaultPlan`] makes the Nth occurrence
 //! of a chosen operation kind panic mid-write. That is exactly the failure the
 //! stage/commit protocol has to survive: a view engine dying half-way through a
-//! batch, with some writes landed and some not, on whatever thread the dispatch
-//! pool happened to schedule it on. The registry catches the unwind, quarantines
-//! the slot, and rolls every sibling back; the chaos property tests assert the ring
+//! batch, with some writes landed and some not. The registry catches the unwind,
+//! quarantines the slot, and rolls every sibling back; the chaos property tests assert the ring
 //! is bit-identical to its pre-batch state afterwards.
 //!
 //! Design notes:
@@ -16,9 +15,9 @@
 //!   are injected one level up, with malformed updates (wrong arity, wrong types)
 //!   fed to the ingest path — see the fault property tests.
 //! * **Global plan.** The armed plan and its operation counter live in a process
-//!   global, not in the storage value: dispatch and shard workers run on separate
-//!   threads and storages are cloned freely, so per-instance state would never see
-//!   a coherent "Nth operation". The counter spans every [`FaultStorage`] instance
+//!   global, not in the storage value: storages are cloned freely and sit boxed
+//!   inside engines a test cannot reach, so per-instance state would never see a
+//!   coherent "Nth operation". The counter spans every [`FaultStorage`] instance
 //!   in the process, which is what "the Nth probe of this ingest call" means in a
 //!   test that controls its storages. Tests must serialize armed sections —
 //!   [`with_fault`] does so with an internal lock.
@@ -46,7 +45,6 @@ pub enum FaultOp {
     /// Point writes ([`ViewStorage::add`] / [`ViewStorage::add_ref`]).
     Add,
     /// Consolidated batch flushes ([`ViewStorage::apply_sorted`] /
-    /// [`ViewStorage::apply_sorted_sharded`] /
     /// [`ViewStorage::apply_sorted_logged`]).
     ApplySorted,
 }
@@ -169,11 +167,6 @@ impl<S: ViewStorage> ViewStorage for FaultStorage<S> {
         self.0.apply_sorted(deltas);
     }
 
-    fn apply_sorted_sharded(&mut self, deltas: &[(&[Value], Number)], shards: usize) {
-        trip(FaultOp::ApplySorted);
-        self.0.apply_sorted_sharded(deltas, shards);
-    }
-
     fn apply_sorted_logged(
         &mut self,
         deltas: &[(&[Value], Number)],
@@ -280,7 +273,7 @@ mod tests {
         let borrowed: Vec<(&[Value], Number)> =
             refs.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
         m.apply_sorted(&borrowed);
-        m.apply_sorted_sharded(&borrowed, 4);
+        m.apply_sorted_logged(&borrowed, |_, pre| assert_eq!(pre, Number::Int(9)));
         assert_eq!(m.get(&key(&[2, 2])), Number::Int(18));
         let mut seen = 0;
         m.for_each_slice(&[1], &key(&[2]), |_, _| seen += 1);

@@ -93,10 +93,6 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
         self.stats = ExecStats::default();
     }
 
-    /// Accepts (and ignores) a within-view thread budget: the reference interpreter
-    /// applies every write immediately, so it has no batched flush to shard.
-    pub fn set_parallelism(&mut self, _threads: usize) {}
-
     /// The storage of one materialized view.
     pub fn map(&self, id: usize) -> &S {
         &self.maps[id]
@@ -146,7 +142,7 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
     /// On error the update may be partially applied; use
     /// [`InterpretedExecutor::stage_update`] for all-or-nothing per-update semantics.
     pub fn apply(&mut self, update: &Update) -> Result<(), RuntimeError> {
-        self.apply_logged(update, &mut None)
+        self.apply_logged(update, None)
     }
 
     /// Stages a single-tuple update: applies it while logging pre-images. On `Err` the
@@ -155,7 +151,7 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
     pub fn stage_update(&mut self, update: &Update) -> Result<StagedBatch, RuntimeError> {
         let stats_before = self.stats;
         let mut undo = UndoLog::default();
-        match self.apply_logged(update, &mut Some(&mut undo)) {
+        match self.apply_logged(update, Some(&mut undo)) {
             Ok(()) => Ok(StagedBatch { undo, stats_before }),
             Err(e) => {
                 rollback_maps(&mut self.maps, &undo);
@@ -168,7 +164,7 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
     fn apply_logged(
         &mut self,
         update: &Update,
-        undo: &mut Option<&mut UndoLog>,
+        mut undo: Option<&mut UndoLog>,
     ) -> Result<(), RuntimeError> {
         if update.multiplicity == 0 {
             return Ok(());
@@ -210,7 +206,7 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
                     stmt,
                     &env,
                     Number::Int(1),
-                    undo,
+                    undo.as_deref_mut(),
                 )?;
             }
         }
@@ -260,7 +256,7 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
     pub fn stage_batch(&mut self, batch: &DeltaBatch) -> Result<StagedBatch, RuntimeError> {
         let stats_before = self.stats;
         let mut undo = UndoLog::default();
-        match self.apply_batch_logged(batch, &mut Some(&mut undo)) {
+        match self.apply_batch_logged(batch, &mut undo) {
             Ok(()) => Ok(StagedBatch { undo, stats_before }),
             Err(e) => {
                 rollback_maps(&mut self.maps, &undo);
@@ -282,18 +278,10 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
         self.stats = stats_before;
     }
 
-    /// The unlogged batch path, kept as the staging-overhead measurement baseline.
-    ///
-    /// **Not atomic:** a mid-group error leaves earlier groups (and the failing
-    /// group's earlier deltas — the interpreter writes per delta) applied.
-    pub fn apply_batch_direct(&mut self, batch: &DeltaBatch) -> Result<(), RuntimeError> {
-        self.apply_batch_logged(batch, &mut None)
-    }
-
     fn apply_batch_logged(
         &mut self,
         batch: &DeltaBatch,
-        undo: &mut Option<&mut UndoLog>,
+        undo: &mut UndoLog,
     ) -> Result<(), RuntimeError> {
         for group in batch.groups() {
             let sign = if group.is_insert() {
@@ -343,7 +331,7 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
                             stmt,
                             &env,
                             scale,
-                            undo,
+                            Some(&mut *undo),
                         )?;
                     }
                 }
@@ -361,7 +349,7 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
         stmt: &Statement,
         base_env: &HashMap<String, Value>,
         scale: Number,
-        undo: &mut Option<&mut UndoLog>,
+        undo: Option<&mut UndoLog>,
     ) -> Result<(), RuntimeError> {
         // The set of candidate bindings, each with the product accumulated so far.
         let mut envs: Vec<(HashMap<String, Value>, Number)> =
@@ -465,9 +453,10 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
             }
             writes.push((key, stmt.coefficient.mul(&scale).mul(&acc)));
         }
+        let mut undo = undo;
         for (key, delta) in writes {
             stats.additions += 1;
-            if let Some(undo) = undo {
+            if let Some(undo) = undo.as_deref_mut() {
                 undo.push_once(stmt.target, &key, || maps[stmt.target].get(&key));
             }
             maps[stmt.target].add(key, delta);
@@ -594,7 +583,7 @@ mod tests {
 
     /// The interpreter's stage/commit/abort mirrors the lowered executor's: a failed
     /// batch (even one that wrote per delta before failing) rolls back bit-exactly,
-    /// and stage+commit equals the direct path.
+    /// and stage+commit applies.
     #[test]
     fn interpreter_staging_rolls_back_failed_batches() {
         let mut catalog = Database::new();

@@ -249,99 +249,6 @@ impl ViewStorage for HashViewStorage {
         }
     }
 
-    /// Sharded accumulation by interior sharding: the primary map is repartitioned
-    /// into `k` maps along the contiguous key ranges of the sorted run, one worker
-    /// lands each range into its own map on a scoped thread, and the shards are
-    /// merged back. The (map-global) slice indexes cannot be touched concurrently, so
-    /// workers record the keys they inserted/pruned and the indexes are fixed
-    /// sequentially after the join.
-    ///
-    /// Falls back to the sequential [`apply_sorted`](ViewStorage::apply_sorted) when
-    /// the run is below `shards * MIN_DELTAS_PER_SHARD` deltas or small relative to
-    /// the map — the repartition and merge are two O(map) passes, a price only a
-    /// run of comparable size can pay for.
-    fn apply_sorted_sharded(&mut self, deltas: &[(&[Value], Number)], shards: usize) {
-        debug_assert!(
-            deltas.windows(2).all(|w| w[0].0 < w[1].0),
-            "apply_sorted_sharded requires strictly ascending keys"
-        );
-        let k = shards.min(deltas.len() / super::MIN_DELTAS_PER_SHARD);
-        if k <= 1 || deltas.len() * 4 < self.data.len() {
-            self.apply_sorted(deltas);
-            return;
-        }
-        for (key, _) in deltas {
-            assert_eq!(key.len(), self.key_arity, "key arity mismatch");
-        }
-        // Shard s covers delta indices [bounds[s-1], bounds[s]); the boundary keys
-        // (each range's first key) also partition the primary map's entries, since
-        // the run is strictly ascending.
-        let bounds: Vec<usize> = (1..k).map(|s| s * deltas.len() / k).collect();
-        let boundary_keys: Vec<&[Value]> = bounds.iter().map(|&b| deltas[b].0).collect();
-        let old = std::mem::take(&mut self.data);
-        let mut shard_maps: Vec<HashMap<Vec<Value>, Number>> =
-            (0..k).map(|_| HashMap::new()).collect();
-        for (key, value) in old {
-            let shard = boundary_keys.partition_point(|b| *b <= key.as_slice());
-            shard_maps[shard].insert(key, value);
-        }
-        let track_indexes = !self.indexes.is_empty();
-        let mut fixups: Vec<IndexFixups> = (0..k).map(|_| IndexFixups::default()).collect();
-        std::thread::scope(|scope| {
-            let mut rest = deltas;
-            let mut prev = 0usize;
-            for (s, (shard_map, fixup)) in shard_maps.iter_mut().zip(fixups.iter_mut()).enumerate()
-            {
-                let hi = bounds.get(s).copied().unwrap_or(deltas.len());
-                let (range, tail) = rest.split_at(hi - prev);
-                prev = hi;
-                rest = tail;
-                scope.spawn(move || {
-                    for (key, delta) in range {
-                        if delta.is_zero() {
-                            continue;
-                        }
-                        if let Some(value) = shard_map.get_mut(*key) {
-                            let sum = value.add(delta);
-                            if sum.is_zero() {
-                                let (owned, _) = shard_map
-                                    .remove_entry(*key)
-                                    .expect("entry present: just read");
-                                if track_indexes {
-                                    fixup.removed.push(owned);
-                                }
-                            } else {
-                                *value = sum;
-                            }
-                        } else {
-                            let owned = key.to_vec();
-                            if track_indexes {
-                                fixup.inserted.push(owned.clone());
-                            }
-                            shard_map.insert(owned, *delta);
-                        }
-                    }
-                });
-            }
-        });
-        let total: usize = shard_maps.iter().map(HashMap::len).sum();
-        let mut data = HashMap::with_capacity(total);
-        for shard in shard_maps {
-            data.extend(shard);
-        }
-        self.data = data;
-        // A key appears at most once in the run, so no key is both pruned and
-        // inserted; fixup order across shards is immaterial.
-        for fixup in fixups {
-            for key in fixup.removed {
-                Self::index_remove(&mut self.indexes, &key);
-            }
-            for key in fixup.inserted {
-                Self::index_insert(&mut self.indexes, &key);
-            }
-        }
-    }
-
     fn footprint(&self) -> StorageFootprint {
         StorageFootprint {
             entries: self.data.len(),
@@ -353,14 +260,6 @@ impl ViewStorage for HashViewStorage {
                 .sum(),
         }
     }
-}
-
-/// Keys one shard worker inserted or pruned, replayed onto the map-global slice
-/// indexes after the scoped threads join (indexes are never touched concurrently).
-#[derive(Default)]
-struct IndexFixups {
-    inserted: Vec<Vec<Value>>,
-    removed: Vec<Vec<Value>>,
 }
 
 #[cfg(test)]

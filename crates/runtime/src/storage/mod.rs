@@ -43,13 +43,6 @@ pub use ordered::OrderedViewStorage;
 /// use [`ViewStorage::for_each_slice`].)
 pub type MapStorage = HashViewStorage;
 
-/// Minimum consolidated deltas per key-range shard for
-/// [`ViewStorage::apply_sorted_sharded`] to actually split a run: below
-/// `shards * MIN_DELTAS_PER_SHARD` deltas the in-tree backends fall back to the
-/// sequential [`ViewStorage::apply_sorted`] pass, because thread spawn plus the
-/// repartition/merge of the primary structure dwarfs such a batch.
-pub const MIN_DELTAS_PER_SHARD: usize = 64;
-
 /// The storage contract a materialized view must satisfy for the executors to run
 /// trigger programs over it.
 ///
@@ -138,8 +131,8 @@ pub trait ViewStorage: Clone + fmt::Debug {
     /// The default probes each key with [`get`](ViewStorage::get) and then delegates
     /// to `apply_sorted` — always correct, but it pays a second lookup per key.
     /// Both in-tree backends override it to capture the pre-image inside the landing
-    /// pass itself, which is what keeps staged ingest within a few percent of the
-    /// direct path.
+    /// pass itself, which is what keeps the logged flush within a few percent of a
+    /// plain `apply_sorted`.
     fn apply_sorted_logged(
         &mut self,
         deltas: &[(&[Value], Number)],
@@ -148,24 +141,6 @@ pub trait ViewStorage: Clone + fmt::Debug {
         for (key, _) in deltas {
             log(key, self.get(key));
         }
-        self.apply_sorted(deltas);
-    }
-
-    /// Like [`apply_sorted`](ViewStorage::apply_sorted), but allowed to split the run
-    /// into up to `shards` contiguous key ranges and land them concurrently. The
-    /// result must be indistinguishable from `apply_sorted` — same entries, same
-    /// zero-pruning, same index maintenance — only the landing order within the run
-    /// may differ (which matters solely for float rounding; see the executor's batch
-    /// docs).
-    ///
-    /// The default ignores the hint and delegates to `apply_sorted`, which is always
-    /// correct. Backends with an internal parallel path override it, and are expected
-    /// to fall back to the sequential pass when `shards <= 1` or when the run is too
-    /// small (relative to [`MIN_DELTAS_PER_SHARD`] and the map) for splitting to pay.
-    ///
-    /// [`MIN_DELTAS_PER_SHARD`]: crate::storage::MIN_DELTAS_PER_SHARD
-    fn apply_sorted_sharded(&mut self, deltas: &[(&[Value], Number)], shards: usize) {
-        let _ = shards;
         self.apply_sorted(deltas);
     }
 
@@ -422,65 +397,6 @@ mod tests {
                     via_batch.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                     via_loop.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                     assert_eq!(via_batch, via_loop);
-                }
-            }
-        }
-        check::<HashViewStorage>();
-        check::<OrderedViewStorage>();
-    }
-
-    /// `apply_sorted_sharded` must be indistinguishable from `apply_sorted` on every
-    /// backend and shard count — same tables, same pruning, same index maintenance —
-    /// whether the run engages the sharded path (large runs, `shards > 1`) or falls
-    /// back to the sequential pass (small runs, `shards = 1`, or a run that is tiny
-    /// relative to the map).
-    #[test]
-    fn apply_sorted_sharded_matches_apply_sorted_on_both_backends() {
-        fn check<S: ViewStorage>() {
-            for (seed_n, delta_n, shards) in [
-                (64i64, 16i64, 4usize), // below threshold: sequential fallback
-                (64, 600, 1),           // shards = 1: sequential fallback
-                (64, 600, 4),           // sharded, run much larger than the map
-                (500, 2000, 8),         // sharded, larger map and more shards
-                (4000, 300, 4),         // run tiny relative to the map: fallback
-            ] {
-                let mut sharded = S::new(2);
-                let mut sequential = S::new(2);
-                for m in [&mut sharded, &mut sequential] {
-                    m.register_index(vec![1]);
-                    for i in 0..seed_n {
-                        m.add(key(&[i, i % 4]), Number::Int(i + 1));
-                    }
-                }
-                // Mix: zero-sum prunes of seeded entries, accumulations, brand-new
-                // keys, and zero deltas — spread over the whole key range so every
-                // shard sees all kinds.
-                let mut deltas: Vec<(Vec<Value>, Number)> = Vec::new();
-                for i in 0..delta_n {
-                    let j = i % seed_n;
-                    deltas.push(match i % 4 {
-                        0 => (key(&[j, j % 4]), Number::Int(-(j + 1))),
-                        1 => (key(&[j, j % 4]), Number::Int(7)),
-                        2 => (key(&[seed_n + i, i % 4]), Number::Int(5)),
-                        _ => (key(&[seed_n + delta_n + i, 0]), Number::Int(0)),
-                    });
-                }
-                deltas.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                deltas.dedup_by(|a, b| a.0 == b.0);
-                let refs: Vec<(&[Value], Number)> =
-                    deltas.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
-                sharded.apply_sorted_sharded(&refs, shards);
-                sequential.apply_sorted(&refs);
-                let label = format!("seed={seed_n} deltas={delta_n} shards={shards}");
-                assert_eq!(sharded.to_table(), sequential.to_table(), "{label}");
-                assert_eq!(sharded.len(), sequential.len(), "{label}");
-                assert_eq!(sharded.footprint(), sequential.footprint(), "{label}");
-                for n in 0..4 {
-                    let mut via_sharded = slice_entries(&sharded, &[1], &key(&[n]));
-                    let mut via_sequential = slice_entries(&sequential, &[1], &key(&[n]));
-                    via_sharded.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    via_sequential.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    assert_eq!(via_sharded, via_sequential, "{label} slice {n}");
                 }
             }
         }

@@ -2,8 +2,7 @@
 //! at the executor level: feeding a [`BatchNormalizer`]-built batch must produce the
 //! same tables AND bit-identical [`ExecStats`] as feeding the reference
 //! [`DeltaBatch::from_updates`] batch — across hash/ordered backends, lowered and
-//! interpreted executors, sequential and sharded (threads = 4) flushes, and the staged
-//! (`stage_batch`/`commit_staged`, i.e. `apply_sorted_logged`) path.
+//! interpreted executors, and an explicit `stage_batch`/`commit_staged` pair.
 //!
 //! The traces are string-heavy on purpose: group keys are strings whose interner ids
 //! are assigned in non-lexicographic order, so a flush that sorted by id instead of by
@@ -63,12 +62,10 @@ fn arb_update() -> impl Strategy<Value = Update> {
 fn check_backend<S: ViewStorage>(program: &TriggerProgram, trace: &[Update], chunk: usize) {
     let mut interned = Executor::<S>::with_backend(program.clone());
     let mut classic = Executor::<S>::with_backend(program.clone());
-    let mut sharded = Executor::<S>::with_backend(program.clone());
     let mut staged = Executor::<S>::with_backend(program.clone());
     let mut interp_interned = InterpretedExecutor::<S>::with_backend(program.clone());
     let mut interp_classic = InterpretedExecutor::<S>::with_backend(program.clone());
     let mut per_tuple = Executor::<S>::with_backend(program.clone());
-    sharded.set_parallelism(4);
     let mut normalizer = BatchNormalizer::new();
     for c in trace.chunks(chunk.max(1)) {
         let interned_batch = normalizer.normalize(c);
@@ -76,7 +73,6 @@ fn check_backend<S: ViewStorage>(program: &TriggerProgram, trace: &[Update], chu
         assert_eq!(interned_batch, classic_batch, "normalization diverged");
         interned.apply_batch(&interned_batch).unwrap();
         classic.apply_batch(&classic_batch).unwrap();
-        sharded.apply_batch(&interned_batch).unwrap();
         let txn = staged.stage_batch(&interned_batch).unwrap();
         staged.commit_staged(txn);
         interp_interned.apply_batch(&interned_batch).unwrap();
@@ -91,10 +87,7 @@ fn check_backend<S: ViewStorage>(program: &TriggerProgram, trace: &[Update], chu
         interp_classic.output_table()
     );
     assert_eq!(interp_interned.stats(), interp_classic.stats());
-    // Sharded (threads = 4) and staged (apply_sorted_logged) flushes ride the same
-    // representation and must change nothing.
-    assert_eq!(sharded.output_table(), classic.output_table());
-    assert_eq!(sharded.stats(), classic.stats());
+    // An explicit stage → commit rides the same representation and changes nothing.
     assert_eq!(staged.output_table(), classic.output_table());
     assert_eq!(staged.stats(), classic.stats());
     // The batch paths still agree with single-tuple ground truth (tables; the batch

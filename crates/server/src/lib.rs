@@ -50,13 +50,17 @@
 //! catalog is fixed when the ring is built). `INSERT`/`DELETE` validate the relation
 //! name and arity synchronously but apply asynchronously; `GET` after `FLUSH` is
 //! guaranteed to observe the flushed rows.
+//!
+//! A request line longer than [`MAX_LINE_BYTES`] gets `ERR line too long` and the
+//! connection is closed. `SHUTDOWN` closes every other live connection too, so an
+//! idle client cannot keep the server from stopping.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -65,6 +69,11 @@ use std::thread::JoinHandle;
 use dbring::{
     Catalog, Number, Ring, RingBuilder, RingHandle, StorageBackend, Update, Value, ViewDef,
 };
+
+/// The longest request line accepted, in bytes, not counting the newline. A longer
+/// line is answered with `ERR line too long` and closes its connection, so one
+/// client cannot make a handler buffer without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Server-wide configuration: the storage backend new tenant rings are built on and
 /// the batch size that forces a commit even without a quiescent point.
@@ -139,6 +148,9 @@ struct ServerState {
     addr: SocketAddr,
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
     shutdown: AtomicBool,
+    /// A clone of every open client socket, by connection id, so shutdown can close
+    /// the sockets whose handlers sit blocked in a read.
+    connections: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// A serving front end bound to a TCP address. [`Server::run`] accepts connections
@@ -157,6 +169,7 @@ impl Server {
             addr: listener.local_addr()?,
             tenants: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
+            connections: Mutex::new(HashMap::new()),
         });
         Ok(Server { listener, state })
     }
@@ -167,19 +180,43 @@ impl Server {
     }
 
     /// Accepts and serves connections until `SHUTDOWN`; each connection gets its own
-    /// handler thread. Returns once every tenant ingest thread has drained and exited.
+    /// handler thread. On `SHUTDOWN` every open client socket is closed, so handlers
+    /// waiting on idle clients return. Returns once every handler has exited and
+    /// every tenant ingest thread has drained and exited.
     pub fn run(self) -> io::Result<()> {
-        let mut handlers = Vec::new();
-        for stream in self.listener.incoming() {
+        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+        for (id, stream) in (0u64..).zip(self.listener.incoming()) {
             if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            // Reap finished handlers so their handles do not pile up.
+            let (finished, live): (Vec<_>, Vec<_>) = std::mem::take(&mut handlers)
+                .into_iter()
+                .partition(JoinHandle::is_finished);
+            handlers = live;
+            for handle in finished {
+                let _ = handle.join();
+            }
             let stream = stream?;
+            // A socket that cannot be cloned for shutdown is dropped, as one that
+            // cannot be read would be.
+            let Ok(registered) = stream.try_clone() else {
+                continue;
+            };
+            self.state
+                .connections
+                .lock()
+                .unwrap()
+                .insert(id, registered);
             let state = Arc::clone(&self.state);
             handlers.push(std::thread::spawn(move || {
                 // Connection errors (client hangs up mid-line) only affect that client.
-                let _ = handle_connection(&state, stream);
+                let _ = handle_connection(&state, stream, id);
+                state.connections.lock().unwrap().remove(&id);
             }));
+        }
+        for (_, stream) in self.state.connections.lock().unwrap().drain() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
         for handle in handlers {
             let _ = handle.join();
@@ -213,41 +250,72 @@ fn roundtrip(tenant: &Tenant, command: Command) -> Result<String, String> {
     rx.recv().map_err(|_| "tenant worker stopped".to_string())?
 }
 
-fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+/// Serves one client until it quits, hangs up, sends an oversized line or stops the
+/// server. `id` is the connection's key in [`ServerState::connections`].
+fn handle_connection(state: &Arc<ServerState>, stream: TcpStream, id: u64) -> io::Result<()> {
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
-    for line in reader.lines() {
-        let line = line?;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Read at most one byte past the cap: enough to tell a full-length line
+        // from an oversized one without buffering the rest.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_LINE_BYTES {
+            writeln!(out, "ERR line too long")?;
+            out.flush()?;
+            return Ok(());
+        }
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
         }
-        let (lines, close) = dispatch(state, trimmed);
+        let (lines, after) = dispatch(state, trimmed);
         for reply_line in &lines {
             writeln!(out, "{reply_line}")?;
         }
         out.flush()?;
-        if close {
-            break;
+        match after {
+            After::Continue => {}
+            After::Close => return Ok(()),
+            After::Shutdown => {
+                // The reply is out; take this socket off the list `run` closes, then
+                // wake the accept loop so it can observe the flag and drain tenants.
+                state.connections.lock().unwrap().remove(&id);
+                state.shutdown.store(true, Ordering::SeqCst);
+                let _ = TcpStream::connect(state.addr);
+                return Ok(());
+            }
         }
     }
-    Ok(())
 }
 
-/// Parses one request line and produces the response lines plus a close-connection
-/// flag.
-fn dispatch(state: &Arc<ServerState>, line: &str) -> (Vec<String>, bool) {
+/// What the connection handler does after sending a reply.
+enum After {
+    /// Read the next request.
+    Continue,
+    /// Close this connection (`QUIT`).
+    Close,
+    /// Close this connection and stop the server (`SHUTDOWN`).
+    Shutdown,
+}
+
+/// Parses one request line and produces the response lines plus what the handler
+/// does next.
+fn dispatch(state: &Arc<ServerState>, line: &str) -> (Vec<String>, After) {
     let tokens: Vec<&str> = line.split_whitespace().collect();
     let verb = tokens[0].to_ascii_uppercase();
     let reply = match verb.as_str() {
         "PING" => Ok(vec!["OK pong".to_string()]),
-        "QUIT" => return (vec!["OK bye".to_string()], true),
-        "SHUTDOWN" => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            // Wake the accept loop so `run` can observe the flag and drain tenants.
-            let _ = TcpStream::connect(state.addr);
-            return (vec!["OK shutting down".to_string()], true);
-        }
+        "QUIT" => return (vec!["OK bye".to_string()], After::Close),
+        "SHUTDOWN" => return (vec!["OK shutting down".to_string()], After::Shutdown),
         "DECLARE" => with_args(&tokens, 3, |t| {
             let tenant = tenant_entry(state, t[1]);
             let command = Command::Declare {
@@ -311,8 +379,8 @@ fn dispatch(state: &Arc<ServerState>, line: &str) -> (Vec<String>, bool) {
         _ => Err(format!("unknown command {verb}")),
     };
     match reply {
-        Ok(lines) => (lines, false),
-        Err(message) => (vec![format!("ERR {message}")], false),
+        Ok(lines) => (lines, After::Continue),
+        Err(message) => (vec![format!("ERR {message}")], After::Continue),
     }
 }
 

@@ -3,9 +3,10 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 use dbring::StorageBackend;
-use dbring_server::{Server, ServerConfig};
+use dbring_server::{Server, ServerConfig, MAX_LINE_BYTES};
 
 /// A tiny line-protocol client over a real TCP connection.
 struct Client {
@@ -236,5 +237,68 @@ fn concurrent_clients_share_a_tenant() {
     }
 
     drop(admin);
+    shutdown(addr, handle);
+}
+
+/// An idle client must not keep `SHUTDOWN` from ending the server: its handler sits
+/// in a blocking read until the server closes the socket.
+#[test]
+fn shutdown_returns_while_an_idle_client_is_connected() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut idle = Client::connect(addr);
+    assert_eq!(idle.send("PING"), "OK pong");
+
+    let mut stopper = Client::connect(addr);
+    assert_eq!(stopper.send("SHUTDOWN"), "OK shutting down");
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(handle.join().expect("server thread"));
+    });
+    let result = finished
+        .recv_timeout(Duration::from_secs(5))
+        .expect("run() returned within 5 s despite the idle client");
+    result.expect("server run");
+
+    // The idle client sees its connection closed.
+    let mut rest = String::new();
+    assert_eq!(idle.reader.read_line(&mut rest).unwrap_or(0), 0);
+}
+
+/// A request line over the cap gets `ERR line too long` and loses its connection;
+/// other clients keep being served.
+#[test]
+fn oversized_request_lines_are_refused() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut other = Client::connect(addr);
+
+    let mut flood = Client::connect(addr);
+    flood
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    // No newline anywhere: an unbounded reader would wait for one forever.
+    let line = vec![b'x'; MAX_LINE_BYTES + 1];
+    flood.out.write_all(&line).expect("send");
+    flood.out.flush().expect("flush");
+    let mut reply = String::new();
+    flood
+        .reader
+        .read_line(&mut reply)
+        .expect("a reply before the read timeout");
+    assert_eq!(reply.trim_end(), "ERR line too long");
+    let mut rest = String::new();
+    assert_eq!(
+        flood.reader.read_line(&mut rest).unwrap_or(0),
+        0,
+        "the connection is closed"
+    );
+
+    assert_eq!(other.send("PING"), "OK pong");
+    // A line of exactly the cap is still a request.
+    let padded = format!("PING{}", " ".repeat(MAX_LINE_BYTES - 4));
+    assert_eq!(other.send(&padded), "OK pong");
+
+    drop(other);
     shutdown(addr, handle);
 }

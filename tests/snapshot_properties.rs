@@ -1,11 +1,10 @@
 //! Property tests for the snapshot read path: a published [`ViewSnapshot`] is always
 //! a *batch-consistent prefix* of the update stream, and once acquired it never
-//! changes — no matter the storage backend, ingest-thread count, staging mode, or a
-//! concurrently running writer.
+//! changes — no matter the storage backend or a concurrently running writer.
 //!
 //! 1. **Prefix equivalence**: after every committed batch, each view's snapshot table
 //!    equals the table of a plain reference ring that replayed exactly that prefix —
-//!    across hash/ordered × ingest threads {1, 4} × staged/direct ingest.
+//!    on both the hash and the ordered backend.
 //! 2. **Immutability**: snapshots held across later batches still compare equal to
 //!    the prefix table they were acquired at.
 //! 3. **No torn reads**: with a real writer thread committing batches while reader
@@ -65,25 +64,11 @@ fn arb_update() -> impl Strategy<Value = Update> {
     ]
 }
 
-/// Every serving configuration the snapshot contract must hold under:
-/// backend × ingest threads × staged/direct ingest.
-const CONFIGS: &[(StorageBackend, usize, bool)] = &[
-    (StorageBackend::Hash, 1, true),
-    (StorageBackend::Hash, 1, false),
-    (StorageBackend::Hash, 4, true),
-    (StorageBackend::Hash, 4, false),
-    (StorageBackend::Ordered, 1, true),
-    (StorageBackend::Ordered, 4, true),
-];
+/// Every backend the snapshot contract must hold on.
+const BACKENDS: [StorageBackend; 2] = [StorageBackend::Hash, StorageBackend::Ordered];
 
-fn build_ring(backend: StorageBackend, threads: usize, staged: bool) -> Ring {
-    let mut builder = RingBuilder::new(catalog())
-        .backend(backend)
-        .ingest_threads(threads);
-    if !staged {
-        builder = builder.without_staged_ingest();
-    }
-    let mut ring = builder.build();
+fn build_ring(backend: StorageBackend) -> Ring {
+    let mut ring = RingBuilder::new(catalog()).backend(backend).build();
     for (name, text) in VIEWS {
         ring.create_view(*name, ViewDef::Agca(text)).unwrap();
     }
@@ -105,17 +90,15 @@ fn snapshot_tables(ring: &Ring) -> Vec<(String, ViewSnapshot)> {
         .collect()
 }
 
-/// Drives properties 1 and 2 for one configuration: batch-by-batch prefix
-/// equivalence, plus immutability of every snapshot acquired along the way.
+/// Drives properties 1 and 2 for one backend: batch-by-batch prefix equivalence,
+/// plus immutability of every snapshot acquired along the way.
 fn check_prefix_equivalence(
     backend: StorageBackend,
-    threads: usize,
-    staged: bool,
     updates: &[Update],
     batch_size: usize,
 ) -> Result<(), TestCaseError> {
-    let mut live = build_ring(backend, threads, staged);
-    let mut reference = build_ring(backend, 1, true);
+    let mut live = build_ring(backend);
+    let mut reference = build_ring(backend);
     let _handle = live.reader(); // serving mode on: every commit publishes
 
     // (snapshot, the prefix table it must keep answering with)
@@ -132,12 +115,9 @@ fn check_prefix_equivalence(
             prop_assert_eq!(
                 &snapshot.table(),
                 want,
-                "snapshot of {} diverged from the replayed prefix \
-                 (backend {:?}, threads {}, staged {})",
+                "snapshot of {} diverged from the replayed prefix (backend {:?})",
                 name,
-                backend,
-                threads,
-                staged
+                backend
             );
             // Views untouched by the batch keep their (still-current) older
             // publication, so `ingested` may lag but never lead.
@@ -168,15 +148,14 @@ fn check_prefix_equivalence(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Properties 1 + 2 over random streams and batch sizes, across every
-    /// serving configuration.
+    /// Properties 1 + 2 over random streams and batch sizes, on both backends.
     #[test]
     fn snapshots_are_immutable_replay_prefixes(
         updates in prop::collection::vec(arb_update(), 1..32),
         batch_size in 1usize..8,
     ) {
-        for &(backend, threads, staged) in CONFIGS {
-            check_prefix_equivalence(backend, threads, staged, &updates, batch_size)?;
+        for backend in BACKENDS {
+            check_prefix_equivalence(backend, &updates, batch_size)?;
         }
     }
 }
@@ -213,7 +192,7 @@ fn concurrent_readers_see_only_committed_prefixes() {
     // Oracle: expected r_by_a table per committed-prefix `updates_ingested` count.
     // The counter advances by normalized batch weight, so it is read off the
     // reference ring rather than recomputed from raw chunk lengths.
-    let mut reference = build_ring(StorageBackend::Hash, 1, true);
+    let mut reference = build_ring(StorageBackend::Hash);
     let mut oracle: HashMap<u64, BTreeMap<Vec<Value>, Number>> = HashMap::new();
     oracle.insert(0, reference.view_named("r_by_a").unwrap().table());
     for chunk in stream.chunks(BATCH) {
@@ -226,7 +205,7 @@ fn concurrent_readers_see_only_committed_prefixes() {
     let final_ingested = reference.updates_ingested();
     let oracle = Arc::new(oracle);
 
-    let mut live = build_ring(StorageBackend::Hash, 4, true);
+    let mut live = build_ring(StorageBackend::Hash);
     let handle = live.reader();
     let done = Arc::new(AtomicBool::new(false));
 
