@@ -1,17 +1,13 @@
-//! Criterion bench: per-update maintenance latency of the **lowered** (slot-resolved,
-//! allocation-lean) executor against the **interpreted** reference path, across initial
-//! database sizes.
-//!
-//! Both paths run the same compiled trigger program over the same storage and perform
-//! identical ring operations (asserted by the `dbring-runtime` equivalence tests); any
-//! gap is pure interpreter overhead — name hashing, per-binding environment clones, and
-//! per-call bound-position derivation. Reference numbers live in `EXPERIMENTS.md`.
+//! Criterion bench: per-update maintenance latency of the lowered (slot-resolved,
+//! allocation-lean) executor's single-tuple trigger firing, across initial database
+//! sizes. Reference numbers live in `EXPERIMENTS.md` (E8 also records the retired
+//! interpreted reference path).
 //!
 //! Run with: `cargo bench -p dbring-bench --bench per_update_latency`
-//! (append `-- lowered` or `-- interpreted` to smoke one side only, as CI does).
+//! (append `-- lowered` to filter, as CI does).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dbring::{compile, Executor, InterpretedExecutor};
+use dbring::{compile, Executor};
 use dbring_workloads::{customers_by_nation, self_join_count, WorkloadConfig};
 use std::hint::black_box;
 
@@ -51,17 +47,6 @@ fn bench_per_update(c: &mut Criterion) {
 
             group.bench_function(BenchmarkId::new(format!("{name}/lowered"), size), |b| {
                 let mut exec = Executor::new(program.clone());
-                exec.apply_all(&workload.initial).unwrap();
-                let mut i = 0usize;
-                b.iter(|| {
-                    let update = &workload.stream[i % workload.stream.len()];
-                    exec.apply(black_box(update)).unwrap();
-                    i += 1;
-                });
-            });
-
-            group.bench_function(BenchmarkId::new(format!("{name}/interpreted"), size), |b| {
-                let mut exec = InterpretedExecutor::new(program.clone());
                 exec.apply_all(&workload.initial).unwrap();
                 let mut i = 0usize;
                 b.iter(|| {

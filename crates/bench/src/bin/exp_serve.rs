@@ -1,6 +1,8 @@
 //! Experiment E16 — serving reads under sustained ingest: N reader threads acquiring
-//! lock-free snapshots of the sales dashboard while one writer thread keeps
-//! ingesting, the split [`Ring::reader`] / [`dbring::RingHandle`] is built for.
+//! snapshots of the sales dashboard (each acquire takes the store's `RwLock` read and
+//! one slot `Mutex`; reads of an acquired snapshot are lock-free) while one writer
+//! thread keeps ingesting, the split [`Ring::reader`] / [`dbring::RingHandle`] is
+//! built for.
 //!
 //! One writer owns the `Ring` and applies the update stream in batches; snapshots
 //! are published at each batch commit (the quiescent points). Reader threads hold a

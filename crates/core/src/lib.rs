@@ -112,11 +112,10 @@ pub use dbring_relations::{
 };
 pub use dbring_runtime::fault;
 pub use dbring_runtime::{
-    boxed_engine, boxed_engine_by_name, interpreted_ivm, recursive_ivm, strategy_by_name,
-    try_boxed_engine, ClassicalIvm, EngineRegistry, ExecStats, Executor, FaultOp, FaultPlan,
-    FaultStorage, HashViewStorage, InterpretedExecutor, MaintenanceStrategy, NaiveReeval,
-    OrderedViewStorage, ParallelConfig, RuntimeError, SnapshotStore, StagedBatch, StorageBackend,
-    StorageFootprint, ViewEngine, ViewSnapshot, ViewStorage,
+    boxed_engine, try_boxed_engine, ClassicalIvm, EngineRegistry, ExecStats, Executor, FaultOp,
+    FaultPlan, FaultStorage, HashViewStorage, MaintenanceStrategy, NaiveReeval, OrderedViewStorage,
+    ParallelConfig, RuntimeError, SnapshotStore, StagedBatch, StorageBackend, StorageFootprint,
+    ViewEngine, ViewSnapshot, ViewStorage,
 };
 
 mod ring;
@@ -272,8 +271,8 @@ impl From<RuntimeError> for Error {
 /// The view is generic over the [`ViewStorage`] backend its materialized maps live in,
 /// defaulting to [`HashViewStorage`]; pick another backend by naming it —
 /// `IncrementalView::<OrderedViewStorage>::with_backend(&catalog, query)` — or choose
-/// one at runtime by value through [`Ring`]/[`RingBuilder::backend`] or the registries
-/// ([`strategy_by_name`], [`boxed_engine`]).
+/// one at runtime by value through [`Ring`]/[`RingBuilder::backend`] or
+/// [`boxed_engine`].
 ///
 /// Ingest semantics kept from the pre-`Ring` facade: updates to relations the query
 /// does not read are ignored (a multi-view [`Ring`] instead validates every update
@@ -632,8 +631,8 @@ mod tests {
         );
         // Runtime-selected spelling of the same pair.
         let program = compile(&catalog, &parse_query(text).unwrap()).unwrap();
-        let strategy = strategy_by_name("recursive-ivm@ordered", program).unwrap();
-        assert_eq!(strategy.strategy_name(), "recursive-ivm@ordered");
+        let engine = boxed_engine(program, StorageBackend::Ordered);
+        assert_eq!(engine.engine_name(), "recursive-ivm@ordered");
     }
 
     #[test]

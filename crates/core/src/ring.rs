@@ -17,17 +17,18 @@
 //!   [dropped](Ring::drop_view) at any point in the stream. A view created *after*
 //!   updates have been ingested is backfilled from the ring's base snapshot, so it is
 //!   indistinguishable from one that watched the stream from the start.
-//! * **One ingest path.** Updates go to the ring ([`Ring::insert`], [`Ring::delete`],
-//!   [`Ring::apply`], [`Ring::apply_all`], [`Ring::apply_batch`]), which validates
-//!   them against the catalog once, normalizes batches into a
-//!   [`DeltaBatch`](crate::DeltaBatch) **once**, and routes work only to the views
-//!   whose programs read the touched relations — `k` views over one stream cost one
-//!   normalization, not `k`.
-//! * **Failure-atomic ingest.** Every update and batch is *staged* on all
-//!   touched views and committed only when all of them succeed; a failure (including
-//!   a panicking engine) rolls every view back, so a rejected batch lands nowhere. A
-//!   view whose engine panicked is **quarantined** — reads refuse it, ingest skips
-//!   it — until [`Ring::repair_view`] rebuilds it from the base snapshot.
+//! * **One ingest path, one contract.** Every write is a batch:
+//!   [`Ring::apply_batch`] normalizes its updates into a
+//!   [`DeltaBatch`](crate::DeltaBatch) **once** and hands it to
+//!   [`Ring::apply_delta_batch`], which validates it against the catalog and routes
+//!   work only to the views whose programs read the touched relations — `k` views
+//!   over one stream cost one normalization, not `k`. [`Ring::apply`],
+//!   [`Ring::insert`] and [`Ring::delete`] are one-update batches.
+//! * **Batch-atomic ingest.** A batch is *staged* on all touched views and committed
+//!   only when all of them succeed; a failure (including a panicking engine) rolls
+//!   every view back, so a rejected batch lands nowhere — no view, no base snapshot,
+//!   no counter. A view whose engine panicked is **quarantined** — reads refuse it,
+//!   ingest skips it — until [`Ring::repair_view`] rebuilds it from the base snapshot.
 //!
 //! Reads go through the cheap [`ViewRef`] / [`ViewMut`] handles: result values and
 //! tables, work counters, storage footprints, and the compiled program (including its
@@ -194,9 +195,9 @@ impl fmt::Debug for ViewInfo {
 /// The multi-view incremental engine: hosts any number of standing aggregate views
 /// over one catalog and maintains all of them from one update stream — one catalog
 /// ([`Ring::catalog`]), many standing views ([`Ring::create_view`] /
-/// [`Ring::drop_view`] / [`ViewRef`]), one ingest path ([`Ring::apply`],
-/// [`Ring::apply_batch`]: validate once, normalize once, route to readers). See
-/// [`RingBuilder`] for construction.
+/// [`Ring::drop_view`] / [`ViewRef`]), one batch-atomic ingest path
+/// ([`Ring::apply_batch`]: normalize once, validate, route to readers, commit
+/// everywhere or nowhere). See [`RingBuilder`] for construction.
 ///
 /// ```
 /// use dbring::{Catalog, RingBuilder, Value, ViewDef};
@@ -662,9 +663,8 @@ impl Ring {
     ///
     /// The first read-side request (this method or [`Ring::snapshot`]) switches the
     /// ring into *serving* mode: every live view is published once, and from then on
-    /// each successful commit — a single-tuple [`Ring::apply`] or a whole
-    /// [`Ring::apply_batch`] — republishes the views it touched at that quiescent
-    /// point. Rings that never serve snapshots pay one untaken branch per commit.
+    /// each successful [`Ring::apply_batch`] commit republishes the views it touched at
+    /// that quiescent point. Rings that never serve snapshots pay one untaken branch per commit.
     pub fn reader(&self) -> RingHandle {
         self.enable_serving();
         RingHandle {
@@ -773,47 +773,10 @@ impl Ring {
     // Ingest
     // ------------------------------------------------------------------
 
-    /// Applies one single-tuple update: validated against the catalog once, routed to
-    /// exactly the views whose programs read its relation, and — once every routed
-    /// view accepted it — recorded in the base snapshot (when tracking). Updates to
-    /// declared relations no view reads only maintain the snapshot; undeclared
-    /// relations are an [`Error::UnknownRelation`](crate::Error::UnknownRelation).
-    /// Zero-multiplicity updates are explicit no-ops. Quarantined views are skipped
-    /// (they catch up through [`Ring::repair_view`]'s snapshot backfill).
-    ///
-    /// **All-or-nothing across views:** the catalog check vets relation and arity, and when a trigger still fails on the values
-    /// themselves (e.g. a string reaching an arithmetic position) the update is
-    /// rolled back from every view that already staged it — a rejected update lands
-    /// *nowhere*: no view, no snapshot, no counter. A panicking view engine surfaces
-    /// as [`RuntimeError::EnginePanicked`] and quarantines that view; sibling views
-    /// still roll back cleanly. The snapshot records only fully-applied updates, so a
-    /// rejected update can never poison future [`create_view`](Ring::create_view)
-    /// backfills.
+    /// Applies one single-tuple update: a one-update [`Ring::apply_batch`], with its
+    /// contract. An update with |multiplicity| > 1 is one weighted delta.
     pub fn apply(&mut self, update: &Update) -> Result<(), Error> {
-        if update.multiplicity == 0 {
-            return Ok(());
-        }
-        self.check_ingest(&update.relation, update.values.len())?;
-        self.apply_validated(update).map_err(Error::Runtime)
-    }
-
-    /// The post-validation half of [`Ring::apply`]: engines first, snapshot and
-    /// counter only on full success. When serving, a successful single-tuple apply
-    /// is a quiescent point: the touched views republish before this returns.
-    fn apply_validated(&mut self, update: &Update) -> Result<(), RuntimeError> {
-        if let Err(error) = self.registry.apply(update) {
-            self.sync_quarantine();
-            return Err(error);
-        }
-        if self.track_base {
-            self.snapshot.apply(update);
-        }
-        self.ingested += update.multiplicity.unsigned_abs();
-        if self.serving() {
-            let touched = self.registry.readers_of(&update.relation).to_vec();
-            self.publish_slots(&touched);
-        }
-        Ok(())
+        self.apply_batch(std::slice::from_ref(update))
     }
 
     /// Convenience: applies the insertion `+R(values)`.
@@ -826,64 +789,17 @@ impl Ring {
         self.apply(&Update::delete(relation, values))
     }
 
-    /// Applies a sequence of updates one by one (one routing decision and one trigger
-    /// firing per update per reading view).
-    ///
-    /// The whole sequence is validated against the catalog **before** anything is
-    /// applied, so an undeclared relation or a wrong arity anywhere in the sequence
-    /// fails with *nothing* landed. Runtime failures past that point (a trigger
-    /// choking on the values themselves) stop the sequence at the failing update:
-    /// every update before it is applied everywhere, the failing update itself lands
-    /// nowhere (each update is all-or-nothing across views — see [`Ring::apply`]), and the error is wrapped in [`RuntimeError::AtUpdate`]
-    /// carrying the failing index so callers know exactly how many landed.
-    pub fn apply_all<'a>(
-        &mut self,
-        updates: impl IntoIterator<Item = &'a Update>,
-    ) -> Result<(), Error> {
-        let updates: Vec<&Update> = updates.into_iter().collect();
-        for update in &updates {
-            if update.multiplicity != 0 {
-                self.check_ingest(&update.relation, update.values.len())?;
-            }
-        }
-        for (index, update) in updates.into_iter().enumerate() {
-            if update.multiplicity == 0 {
-                continue;
-            }
-            self.apply_validated(update).map_err(|source| {
-                Error::Runtime(RuntimeError::AtUpdate {
-                    index,
-                    source: Box::new(source),
-                })
-            })?;
-        }
-        Ok(())
-    }
-
     /// Applies a batch of updates with **one** normalization for the whole ring: the
     /// updates are consolidated into a [`DeltaBatch`] once (cancelling pairs vanish,
-    /// multiplicities net out), the snapshot is maintained in one pass per relation,
-    /// and the borrowed batch is fanned out only to the views reading the touched
-    /// relations. With `k` views this is the amortization [`IncrementalView`]-per-view
-    /// ingest cannot have: `k` independent views each re-normalize and re-dispatch the
-    /// same updates.
+    /// multiplicities net out, zero multiplicities drop) and handed to
+    /// [`Ring::apply_delta_batch`]. With `k` views this is the amortization
+    /// [`IncrementalView`]-per-view ingest cannot have: `k` independent views each
+    /// re-normalize and re-dispatch the same updates.
     ///
-    /// Equivalent to [`Ring::apply_all`] over the same updates for every view
-    /// (integer aggregates bit-identically; float aggregates up to IEEE reordering —
-    /// see [`IncrementalView::apply_batch`](crate::IncrementalView::apply_batch)).
-    ///
-    /// **Failure atomicity:** catalog failures
-    /// land nothing, and a runtime failure during fan-out also lands nothing — every
-    /// touched view *stages* the batch (applying it while logging pre-images) and
-    /// commits only if all of them succeed, so on error each staged view is rolled
-    /// back bit-identically and the snapshot is untouched. A panicking view engine
-    /// surfaces as [`RuntimeError::EnginePanicked`], quarantines that view (see
-    /// [`Ring::repair_view`]), and still rolls every sibling back. Staging costs one
-    /// pre-image record per map write for the duration of the batch — memory
-    /// proportional to the batch's write set, not to the views. Touched views stage
-    /// one after another in slot order, so if several views would fail on the same
-    /// batch, the failure reported is the one from the **lowest-numbered view
-    /// slot**.
+    /// Equivalent to applying the updates one by one for every view (integer
+    /// aggregates bit-identically; float aggregates up to IEEE reordering — see
+    /// [`IncrementalView::apply_batch`](crate::IncrementalView::apply_batch)), but
+    /// **atomic**: see [`Ring::apply_delta_batch`] for the contract.
     ///
     /// [`IncrementalView`]: crate::IncrementalView
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error> {
@@ -904,12 +820,28 @@ impl Ring {
         self.normalizer.normalize(updates)
     }
 
-    /// Applies an already-normalized delta batch (the normalization cost of
-    /// [`Ring::apply_batch`] can then be reused or amortized by the caller).
+    /// Applies an already-normalized delta batch — the ring's one ingest entry point;
+    /// every other write method normalizes and delegates here.
     ///
-    /// Shares [`Ring::apply_batch`]'s failure contract: on a runtime error the batch
-    /// has landed nowhere — every staged view rolled back, snapshot untouched — and
-    /// the reported error is the lowest-slot failure.
+    /// The batch is validated against the catalog (an undeclared relation is an
+    /// [`Error::UnknownRelation`](crate::Error::UnknownRelation), a wrong arity an
+    /// [`Error::Runtime`](crate::Error::Runtime)) and routed only to the views reading
+    /// its relations; a declared relation no view reads only maintains the base
+    /// snapshot. Quarantined views are skipped (they catch up through
+    /// [`Ring::repair_view`]'s snapshot backfill).
+    ///
+    /// **Batch-atomic:** every touched view *stages* the batch (applying it while
+    /// logging pre-images) and commits only if all of them succeed. On any error —
+    /// catalog, a trigger failing on the values themselves (e.g. a string reaching an
+    /// arithmetic position), or a panicking engine — the batch lands *nowhere*: every
+    /// staged view is rolled back bit-identically, and the base snapshot and
+    /// [`Ring::updates_ingested`] are untouched, so a rejected batch can never poison
+    /// later [`create_view`](Ring::create_view) backfills. A panicking engine surfaces
+    /// as [`RuntimeError::EnginePanicked`] and quarantines that view. Views stage one
+    /// after another in slot order, so if several would fail, the error reported is the
+    /// **lowest-numbered view slot**'s. Staging costs one pre-image record per map
+    /// write for the duration of the batch. When serving, a successful commit is a
+    /// quiescent point: the touched views republish before this returns.
     pub fn apply_delta_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<(), Error> {
         for group in batch.groups() {
             let expected = match self.catalog.columns(group.relation()) {
@@ -932,7 +864,7 @@ impl Ring {
             }
         }
         // Engines first, snapshot only on full success: a rejected batch must never
-        // enter the backfill source (see `Ring::apply`).
+        // enter the backfill source.
         if let Err(error) = self.registry.apply_batch(batch) {
             self.sync_quarantine();
             return Err(error.into());
@@ -959,25 +891,6 @@ impl Ring {
     // ------------------------------------------------------------------
     // Crate-internal hooks for the single-view `IncrementalView` wrapper
     // ------------------------------------------------------------------
-
-    /// Validates an ingest target against the catalog: the relation must be declared
-    /// and the arity must match.
-    fn check_ingest(&self, relation: &str, arity: usize) -> Result<(), Error> {
-        match self.catalog.columns(relation) {
-            None => Err(Error::UnknownRelation {
-                relation: relation.to_string(),
-                view: None,
-            }),
-            Some(columns) if columns.len() != arity => {
-                Err(Error::Runtime(RuntimeError::ArityMismatch {
-                    relation: relation.to_string(),
-                    expected: columns.len(),
-                    got: arity,
-                }))
-            }
-            Some(_) => Ok(()),
-        }
-    }
 
     /// Re-initializes one view's maps from an explicit database (the facade's
     /// `with_initial_database`). Any state the view accumulated is replaced.
@@ -1274,7 +1187,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(ring.len(), 3);
-        ring.apply_all(&[sale(1, 100, 2), sale(1, 50, 1), sale(2, 30, 3)])
+        ring.apply_batch(&[sale(1, 100, 2), sale(1, 50, 1), sale(2, 30, 3)])
             .unwrap();
         ring.insert("Returns", vec![Value::int(1), Value::int(40)])
             .unwrap();
@@ -1313,7 +1226,7 @@ mod tests {
                 ViewDef::Agca("q[c] := Sum(Sales(c, p, n) * p * n)"),
             )
             .unwrap();
-        ring.apply_all(&[sale(1, 10, 1), sale(2, 20, 2), sale(1, 5, 4)])
+        ring.apply_batch(&[sale(1, 10, 1), sale(2, 20, 2), sale(1, 5, 4)])
             .unwrap();
         // Same definition, created after the stream: must match the early view.
         let late = ring
@@ -1444,11 +1357,10 @@ mod tests {
             ring.apply_batch(&[Update::insert("Sales", vec![Value::int(1)])]),
             Err(Error::Runtime(RuntimeError::ArityMismatch { .. }))
         ));
-        // apply_all prevalidates the whole sequence: a catalog error anywhere means
-        // *nothing* lands, reported without an index.
+        // A catalog error anywhere in a batch means *nothing* lands.
         let before = ring.updates_ingested();
         let err = ring
-            .apply_all(&[sale(1, 1, 1), Update::insert("Sales", vec![Value::int(9)])])
+            .apply_batch(&[sale(1, 1, 1), Update::insert("Sales", vec![Value::int(9)])])
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1459,8 +1371,8 @@ mod tests {
 
     /// Regression (review finding): a trigger failing on the *values* (which the
     /// catalog check cannot vet) must not poison the base snapshot — late view
-    /// creation has to keep working after a rejected update, and `apply_all` must
-    /// pinpoint the failing index for such runtime errors.
+    /// creation has to keep working after a rejected batch, and none of the batch's
+    /// updates may land.
     #[test]
     fn rejected_updates_never_enter_the_backfill_snapshot() {
         let mut ring = RingBuilder::new(sales_catalog()).build();
@@ -1476,16 +1388,19 @@ mod tests {
             vec![Value::int(1), Value::str("x"), Value::str("y")],
         );
         let err = ring
-            .apply_all(&[sale(1, 10, 1), poison.clone(), sale(2, 5, 1)])
+            .apply_batch(&[sale(1, 10, 1), poison.clone(), sale(2, 5, 1)])
             .unwrap_err();
-        match err {
-            Error::Runtime(RuntimeError::AtUpdate { index, .. }) => assert_eq!(index, 1),
-            other => panic!("expected AtUpdate, got {other:?}"),
-        }
-        // The good update before the failure landed; the poison did not reach the
-        // snapshot, so mid-stream view creation still works and matches the stream.
-        assert_eq!(ring.updates_ingested(), 1);
+        assert!(matches!(
+            err,
+            Error::Runtime(RuntimeError::NonNumericValue(_))
+        ));
+        // The whole batch landed nowhere, good updates included; the poison did not
+        // reach the snapshot, so mid-stream view creation still works and matches
+        // the stream.
+        assert_eq!(ring.updates_ingested(), 0);
+        assert_eq!(ring.base_snapshot().unwrap().total_support(), 0);
         assert!(ring.apply(&poison).is_err());
+        ring.apply_batch(&[sale(1, 10, 1), sale(2, 5, 1)]).unwrap();
         let late = ring
             .create_view("units", ViewDef::Agca("q[c] := Sum(Sales(c, p, n) * n)"))
             .unwrap();
@@ -1493,13 +1408,86 @@ mod tests {
             ring.view(late).unwrap().value(&[Value::int(1)]),
             Number::Int(1)
         );
-        assert_eq!(ring.base_snapshot().unwrap().total_support(), 1);
-        // The batch path keeps the same guarantee.
+        assert_eq!(ring.base_snapshot().unwrap().total_support(), 2);
         let err = ring.apply_batch(&[sale(3, 2, 2), poison]).unwrap_err();
         assert!(matches!(err, Error::Runtime(_)));
         assert!(ring
             .create_view("orders", ViewDef::Agca("q[c] := Sum(Sales(c, p, n))"))
             .is_ok());
+    }
+
+    /// `Ring::apply` is a batch of one with the batch contract: a |multiplicity| = 3
+    /// update that fails on its values lands nowhere — not in the sibling views that
+    /// staged it first (weighted or unit-replay), not in the base snapshot, not in the
+    /// counter.
+    #[test]
+    fn a_weighted_update_failing_on_its_values_lands_nowhere() {
+        let mut ring = RingBuilder::new(sales_catalog()).build();
+        let pairs = ring
+            .create_view(
+                "pairs",
+                ViewDef::Agca("q[c] := Sum(Sales(c, p, n) * Sales(c2, p2, n))"),
+            )
+            .unwrap();
+        let orders = ring
+            .create_view("orders", ViewDef::Agca("q[c] := Sum(Sales(c, p, n))"))
+            .unwrap();
+        ring.create_view(
+            "revenue",
+            ViewDef::Agca("q[c] := Sum(Sales(c, p, n) * p * n)"),
+        )
+        .unwrap();
+        ring.apply(&sale(1, 10, 1)).unwrap();
+        let tables: Vec<_> = [pairs, orders]
+            .map(|id| ring.view(id).unwrap().table())
+            .into();
+        let stats: Vec<_> = [pairs, orders]
+            .map(|id| ring.view(id).unwrap().stats())
+            .into();
+        let mut poison =
+            Update::insert("Sales", vec![Value::int(1), Value::str("x"), Value::int(1)]);
+        poison.multiplicity = 3;
+        let err = ring.apply(&poison).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::Runtime(RuntimeError::NonNumericValue(_))
+        ));
+        for (i, id) in [pairs, orders].into_iter().enumerate() {
+            assert_eq!(ring.view(id).unwrap().table(), tables[i]);
+            assert_eq!(ring.view(id).unwrap().stats(), stats[i]);
+        }
+        assert_eq!(ring.updates_ingested(), 1);
+        assert_eq!(ring.base_snapshot().unwrap().total_support(), 1);
+        // A well-formed weighted update lands as one weighted delta.
+        let mut triple = sale(2, 4, 1);
+        triple.multiplicity = 3;
+        ring.apply(&triple).unwrap();
+        assert_eq!(ring.updates_ingested(), 4);
+        assert_eq!(
+            ring.view(orders).unwrap().value(&[Value::int(2)]),
+            Number::Int(3)
+        );
+    }
+
+    /// A zero-multiplicity update is dropped by normalization before validation, so it
+    /// is a no-op even when malformed.
+    #[test]
+    fn zero_multiplicity_updates_are_no_ops() {
+        let mut ring = RingBuilder::new(sales_catalog()).build();
+        let orders = ring
+            .create_view("orders", ViewDef::Agca("q[c] := Sum(Sales(c, p, n))"))
+            .unwrap();
+        for mut update in [
+            sale(1, 10, 1),
+            Update::insert("Ghost", vec![Value::int(1)]),
+            Update::insert("Sales", vec![Value::int(1)]),
+        ] {
+            update.multiplicity = 0;
+            ring.apply(&update).unwrap();
+        }
+        assert_eq!(ring.updates_ingested(), 0);
+        assert_eq!(ring.view(orders).unwrap().stats().updates, 0);
+        assert_eq!(ring.base_snapshot().unwrap().total_support(), 0);
     }
 
     #[test]
@@ -1518,7 +1506,9 @@ mod tests {
             per_update.create_view(name, ViewDef::Agca(text)).unwrap();
             batched.create_view(name, ViewDef::Agca(text)).unwrap();
         }
-        per_update.apply_all(&updates).unwrap();
+        for update in &updates {
+            per_update.apply(update).unwrap();
+        }
         for chunk in updates.chunks(16) {
             batched.apply_batch(chunk).unwrap();
         }
@@ -1635,7 +1625,7 @@ mod tests {
             )
             .unwrap();
         replay
-            .apply_all(&[sale(1, 10, 1), sale(2, 20, 2), sale(1, 5, 1), sale(2, 3, 1)])
+            .apply_batch(&[sale(1, 10, 1), sale(2, 20, 2), sale(1, 5, 1), sale(2, 3, 1)])
             .unwrap();
         assert_eq!(
             ring.view(victim).unwrap().table(),

@@ -23,10 +23,15 @@
 //!
 //! A statement without loop variables costs a constant number of arithmetic operations;
 //! a statement with loop variables costs a constant number of operations *per affected
-//! map entry* — the executor counts both, identically to the reference
-//! [`InterpretedExecutor`](crate::interp::InterpretedExecutor), so the experiments can
-//! verify the paper's constant-work claim (Theorem 7.1) directly and the two paths can
-//! be checked against each other operation-for-operation.
+//! map entry* — the executor counts both ([`ExecStats`]), so the experiments can verify
+//! the paper's constant-work claim (Theorem 7.1) directly. The counts are checked
+//! operation for operation against the string-named reference interpreter kept as a
+//! test oracle (`crates/runtime/tests/interp`).
+//!
+//! Two entry points apply updates. [`Executor::apply`] / [`Executor::apply_all`] fire
+//! one trigger per single-tuple update — the paper's per-tuple maintenance, which the
+//! single-view facade and the experiments measure. [`Executor::stage_batch`] applies a
+//! normalized batch atomically and is what every multi-view host uses.
 //!
 //! The base relations are never consulted: after initialization the executor's maps are
 //! the only state.
@@ -310,9 +315,8 @@ impl UndoLog {
     }
 }
 
-/// The token a successful [`Executor::stage_batch`] (or
-/// [`InterpretedExecutor::stage_batch`](crate::interp::InterpretedExecutor::stage_batch))
-/// returns: proof that the batch evaluated cleanly, plus everything needed to undo it.
+/// The token a successful [`Executor::stage_batch`] returns: proof that the batch
+/// evaluated cleanly, plus everything needed to undo it.
 ///
 /// Staging *applies* the batch — later trigger groups must read the writes of earlier
 /// ones (the second-order `δR·δS` term of a multi-relation batch), so the writes cannot
@@ -341,8 +345,8 @@ impl StagedBatch {
 }
 
 /// Replays an undo log in reverse, restoring every touched entry to its logged
-/// pre-image bit-exactly. Shared by both executor families.
-pub(crate) fn rollback_maps<S: ViewStorage>(maps: &mut [S], undo: &UndoLog) {
+/// pre-image bit-exactly.
+fn rollback_maps<S: ViewStorage>(maps: &mut [S], undo: &UndoLog) {
     let mut end = undo.keys.len();
     for op in undo.ops.iter().rev() {
         let start = end - op.key_len as usize;
@@ -416,9 +420,9 @@ impl<S: ViewStorage> Executor<S> {
         for (i, t) in plan.triggers.iter().enumerate() {
             let entry = dispatch.entry(t.relation.clone()).or_insert([None, None]);
             let slot = &mut entry[sign_index(t.sign)];
-            // First match wins, matching the interpreter's linear-scan dispatch (the
-            // compiler never emits duplicate (relation, sign) triggers, but hand-built
-            // programs may).
+            // First match wins, like a linear scan of the trigger list (the compiler
+            // never emits duplicate (relation, sign) triggers, but hand-built programs
+            // may).
             if slot.is_none() {
                 *slot = Some(i);
             }
@@ -492,7 +496,21 @@ impl<S: ViewStorage> Executor<S> {
     /// query with the reference evaluator (the initialization step of Section 1.1). The
     /// database is *not* retained: subsequent maintenance never touches it.
     pub fn initialize_from(&mut self, db: &Database) -> Result<(), EvalError> {
-        initialize_maps(&self.program, &mut self.maps, db)
+        for def in &self.program.maps {
+            // Reorder the defining query once so that bulk initialization does not
+            // build needless cross products (the trigger statements themselves never
+            // evaluate these definitions).
+            let bound = def.key_vars.iter().cloned().collect();
+            let query = Query {
+                name: def.name.clone(),
+                group_by: def.key_vars.clone(),
+                expr: dbring_agca::optimize::optimize_for_evaluation(&def.definition, &bound),
+            };
+            for (key, value) in eval_all_groups(&query, db)? {
+                self.maps[def.id].set(key, value);
+            }
+        }
+        Ok(())
     }
 
     /// Applies a single-tuple update by running the matching plan trigger. Updates whose
@@ -502,43 +520,9 @@ impl<S: ViewStorage> Executor<S> {
     /// work counters untouched.
     ///
     /// On error the update may be partially applied (a failure between the firings of a
-    /// |multiplicity| > 1 update leaves the earlier firings in place); use
-    /// [`Executor::stage_update`] when the caller needs all-or-nothing per-update
-    /// semantics.
+    /// |multiplicity| > 1 update leaves the earlier firings in place); a one-update
+    /// [`stage_batch`](Executor::stage_batch) is the all-or-nothing alternative.
     pub fn apply(&mut self, update: &Update) -> Result<(), RuntimeError> {
-        self.apply_logged(update, None)
-    }
-
-    /// Stages a single-tuple update: applies it while logging pre-images, so the caller
-    /// can [`commit_staged`](Executor::commit_staged) or
-    /// [`abort_staged`](Executor::abort_staged) it. On `Err` the engine has already been
-    /// rolled back — tables and stats are bit-identical to before the call, even for a
-    /// failure between the firings of a |multiplicity| > 1 update.
-    pub fn stage_update(&mut self, update: &Update) -> Result<StagedBatch, RuntimeError> {
-        let stats_before = self.stats;
-        let mut undo = std::mem::take(&mut self.undo_pool);
-        match self.apply_logged(update, Some(&mut undo)) {
-            Ok(()) => Ok(StagedBatch { undo, stats_before }),
-            Err(e) => {
-                rollback_maps(&mut self.maps, &undo);
-                self.stats = stats_before;
-                self.recycle(undo);
-                Err(e)
-            }
-        }
-    }
-
-    /// Hands a finished undo log's allocation back to the pool.
-    fn recycle(&mut self, mut undo: UndoLog) {
-        undo.clear();
-        self.undo_pool = undo;
-    }
-
-    fn apply_logged(
-        &mut self,
-        update: &Update,
-        mut undo: Option<&mut UndoLog>,
-    ) -> Result<(), RuntimeError> {
         if update.multiplicity == 0 {
             return Ok(());
         }
@@ -580,10 +564,16 @@ impl<S: ViewStorage> Executor<S> {
         for _ in 0..update.multiplicity.unsigned_abs() {
             stats.updates += 1;
             for stmt in &trigger.statements {
-                run_statement(maps, stats, scratch, trigger, stmt, undo.as_deref_mut())?;
+                run_statement(maps, stats, scratch, trigger, stmt, None)?;
             }
         }
         Ok(())
+    }
+
+    /// Hands a finished undo log's allocation back to the pool.
+    fn recycle(&mut self, mut undo: UndoLog) {
+        undo.clear();
+        self.undo_pool = undo;
     }
 
     /// Applies a sequence of updates, one trigger firing per single-tuple update.
@@ -822,33 +812,6 @@ fn sign_index(sign: Sign) -> usize {
         Sign::Insert => 0,
         Sign::Delete => 1,
     }
-}
-
-/// Bulk-loads every view of a program from a non-empty starting database by evaluating
-/// the view definitions with the reference evaluator (the initialization step of
-/// Section 1.1). Shared by the lowered executor and the reference interpreter so both
-/// paths initialize identically.
-pub(crate) fn initialize_maps<S: ViewStorage>(
-    program: &TriggerProgram,
-    maps: &mut [S],
-    db: &Database,
-) -> Result<(), EvalError> {
-    for def in &program.maps {
-        // Reorder the defining query once so that bulk initialization does not build
-        // needless cross products (the trigger statements themselves never evaluate
-        // these definitions).
-        let bound = def.key_vars.iter().cloned().collect();
-        let query = Query {
-            name: def.name.clone(),
-            group_by: def.key_vars.clone(),
-            expr: dbring_agca::optimize::optimize_for_evaluation(&def.definition, &bound),
-        };
-        let groups = eval_all_groups(&query, db)?;
-        for (key, value) in groups {
-            maps[def.id].set(key, value);
-        }
-    }
-    Ok(())
 }
 
 /// Runs one lowered statement over the scratch frames and applies its writes directly,
@@ -1492,24 +1455,6 @@ mod tests {
         assert_eq!(exec.stats(), per_tuple.stats());
     }
 
-    /// A failed `stage_update` rolls back even partial multiplicity firings, while the
-    /// direct `apply` keeps its documented partial semantics.
-    #[test]
-    fn stage_update_is_atomic_per_update() {
-        let mut exec = Executor::new(customers_program());
-        exec.apply(&insert(1, "FR")).unwrap();
-        let stats = exec.stats();
-        let table = exec.output_table();
-        let bad = Update::insert("C", vec![Value::int(9)]);
-        assert!(exec.stage_update(&bad).is_err());
-        assert_eq!(exec.output_table(), table);
-        assert_eq!(exec.stats(), stats);
-        // And a successful stage commits to exactly the direct result.
-        let staged = exec.stage_update(&insert(2, "FR")).unwrap();
-        exec.commit_staged(staged);
-        assert_eq!(exec.output_value(&[Value::int(1)]), Number::Int(2));
-    }
-
     #[test]
     fn apply_batch_checks_arity_and_ignores_irrelevant_relations() {
         let mut exec = Executor::new(customers_program());
@@ -1573,9 +1518,10 @@ mod tests {
     #[test]
     fn duplicate_triggers_dispatch_to_the_first_match_like_the_interpreter() {
         use dbring_compiler::{MapDef, Statement, Trigger};
-        // Two triggers on (R, Insert): the first bumps q by 1, the second by 100. Both
-        // executors must run the *first* (linear-scan semantics); the compiler never
-        // emits duplicates, but hand-built programs may.
+        // Two triggers on (R, Insert): the first bumps q by 1, the second by 100. The
+        // executor must run the *first* (linear-scan semantics, as the reference
+        // interpreter does); the compiler never emits duplicates, but hand-built
+        // programs may.
         let make_trigger = |coefficient: i64| Trigger {
             relation: "R".to_string(),
             sign: dbring_delta::Sign::Insert,
@@ -1598,13 +1544,15 @@ mod tests {
             triggers: vec![make_trigger(1), make_trigger(100)],
             output: 0,
         };
-        let mut lowered = Executor::new(program.clone());
-        let mut interpreted = crate::interp::InterpretedExecutor::new(program);
+        let mut exec = Executor::new(program);
         let update = Update::insert("R", vec![Value::int(7)]);
-        lowered.apply(&update).unwrap();
-        interpreted.apply(&update).unwrap();
-        assert_eq!(lowered.output_value(&[]), Number::Int(1));
-        assert_eq!(lowered.output_table(), interpreted.output_table());
+        exec.apply(&update).unwrap();
+        assert_eq!(exec.output_value(&[]), Number::Int(1));
+        assert_eq!(exec.output_table().len(), 1);
+        // The batch path dispatches the same way.
+        exec.apply_batch(&DeltaBatch::from_updates(&[update]))
+            .unwrap();
+        assert_eq!(exec.output_value(&[]), Number::Int(2));
     }
 
     #[test]

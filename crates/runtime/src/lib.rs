@@ -18,8 +18,8 @@
 //!
 //! ## Pluggable view storage
 //!
-//! Both executors are generic over the [`ViewStorage`] backend
-//! holding their materialized views — the paper's guarantee only needs point probes,
+//! The executor is generic over the [`ViewStorage`] backend
+//! holding its materialized views — the paper's guarantee only needs point probes,
 //! ring accumulation with zero-pruning, and partial-key enumeration, so backends with
 //! different physical trade-offs plug in under the unchanged execution layer:
 //! [`HashViewStorage`] (the default: hash map + hash slice
@@ -27,11 +27,21 @@
 //! (`BTreeMap` + sorted range scans, O(log n) probes but prefix enumerations need no
 //! secondary index at all). Select at compile time by naming the type
 //! (`Executor::<OrderedViewStorage>::with_backend`) or at runtime through
-//! [`StorageBackend`] and the strategy registry
-//! ([`strategy_by_name`], names like
-//! `"recursive-ivm@ordered"`).
+//! [`StorageBackend`] and [`boxed_engine`].
 //!
-//! Four maintenance strategies are provided behind the common
+//! ## One executor, one ingest contract
+//!
+//! [`Executor`] is the only executor. A host ([`EngineRegistry`], and through it the
+//! `dbring::Ring` facade) drives it through the [`ViewEngine`] interface with one
+//! contract: stage a normalized batch on every touched view, commit only if all of
+//! them succeed. A single-tuple update is a batch of one. [`Executor::apply`] /
+//! [`Executor::apply_all`] remain as the per-tuple trigger firing of the paper, which
+//! the single-view facade and the experiments measure. The string-named reference
+//! interpreter this executor was lowered from lives on as a test oracle
+//! (`crates/runtime/tests/interp`), checked against the executor operation for
+//! operation.
+//!
+//! Three maintenance strategies are provided behind the common
 //! [`MaintenanceStrategy`] interface:
 //!
 //! * [`Executor`] — **recursive IVM** (the paper's contribution),
@@ -43,11 +53,6 @@
 //!   on first insertion). Arithmetic operations and map writes are counted so the
 //!   experiments can verify the constant-work claim (Theorem 7.1) directly rather than
 //!   only through wall-clock time.
-//! * [`InterpretedExecutor`] — the same trigger semantics
-//!   interpreted directly over the string-named IR with per-candidate `HashMap`
-//!   environments. Slower by design; it is the auditable reference the lowered path is
-//!   tested (and benchmarked) against, with identical
-//!   [`ExecStats`] accounting.
 //! * [`ClassicalIvm`] — classical first-order incremental view
 //!   maintenance: only the query result is materialized; on every update the *first*
 //!   delta query is evaluated against the stored database with the reference evaluator.
@@ -65,20 +70,18 @@ pub mod baseline;
 pub mod engine;
 pub mod executor;
 pub mod fault;
-pub mod interp;
 pub mod registry;
 pub mod snapshot;
 pub mod storage;
 pub mod strategy;
 
 pub use baseline::{ClassicalIvm, NaiveReeval};
-pub use engine::{boxed_engine, boxed_engine_by_name, try_boxed_engine, ViewEngine};
+pub use engine::{boxed_engine, try_boxed_engine, ViewEngine};
 pub use executor::{ExecStats, Executor, RuntimeError, StagedBatch};
 pub use fault::{FaultOp, FaultPlan, FaultStorage};
-pub use interp::InterpretedExecutor;
 pub use registry::{EngineRegistry, ParallelConfig};
 pub use snapshot::{SnapshotAccess, SnapshotStore, ViewSnapshot};
 pub use storage::{
     HashViewStorage, MapStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
 };
-pub use strategy::{interpreted_ivm, recursive_ivm, strategy_by_name, MaintenanceStrategy};
+pub use strategy::MaintenanceStrategy;

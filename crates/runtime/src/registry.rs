@@ -10,14 +10,12 @@
 //! * **Registration** derives each engine's *read set* from its program's triggers and
 //!   indexes it in a routing table: relation name → the slots of the engines with a
 //!   trigger on that relation.
-//! * **Per-update dispatch** ([`EngineRegistry::apply`]) routes a single-tuple update
-//!   to exactly the engines that read its relation — an update a view does not read
-//!   costs that view nothing, not even a dispatch lookup.
-//! * **Shared-batch dispatch** ([`EngineRegistry::apply_batch`]) is the amortization
-//!   seam: the caller normalizes a [`DeltaBatch`] **once** and the registry fans the
-//!   borrowed batch out to the union of the touched relations' readers. With `k` views
-//!   over one stream this does one consolidation (bucket + sort + net) where `k`
-//!   independent views would each redo it.
+//! * **Shared-batch dispatch** ([`EngineRegistry::apply_batch`], the one dispatch
+//!   method) is the amortization seam: the caller normalizes a [`DeltaBatch`] **once**
+//!   and the registry fans the borrowed batch out to the union of the touched
+//!   relations' readers — an update a view does not read costs that view nothing. With
+//!   `k` views over one stream this does one consolidation (bucket + sort + net) where
+//!   `k` independent views would each redo it. A single-tuple update is a batch of one.
 //! * **Failure atomicity** (stage → commit): dispatch stages the batch on every
 //!   touched engine in slot order — each engine applies it while logging pre-images —
 //!   and commits only if *all* stages succeed. The first failure stops the loop and
@@ -40,7 +38,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use dbring_relations::{DeltaBatch, Update};
+use dbring_relations::DeltaBatch;
 
 use crate::engine::ViewEngine;
 use crate::executor::{RuntimeError, StagedBatch};
@@ -208,35 +206,6 @@ impl EngineRegistry {
             .unwrap_or_default()
     }
 
-    /// Applies one single-tuple update to exactly the engines that read its relation,
-    /// returning how many engines fired. Updates to relations no engine reads return
-    /// `Ok(0)` without touching anything; quarantined engines are skipped.
-    ///
-    /// **Atomic across engines:** the update is staged on every reader in slot order
-    /// and committed only if all stages succeed. On failure every stage is aborted,
-    /// so a rejected update lands nowhere, and the first (lowest-slot) error is
-    /// returned. A panic in an engine quarantines that slot and surfaces as
-    /// [`RuntimeError::EnginePanicked`].
-    pub fn apply(&mut self, update: &Update) -> Result<u32, RuntimeError> {
-        if update.multiplicity == 0 {
-            return Ok(0);
-        }
-        let readers: Vec<u32> = match self.routing.get(update.relation.as_str()) {
-            Some(readers) => readers
-                .iter()
-                .copied()
-                .filter(|&slot| {
-                    !self.slots[slot as usize]
-                        .as_ref()
-                        .expect("routing only lists live slots")
-                        .poisoned
-                })
-                .collect(),
-            None => return Ok(0),
-        };
-        self.stage_and_commit(&readers, |engine| engine.stage_update(update))
-    }
-
     /// Aborts staged tokens in reverse stage order, restoring each engine to its
     /// pre-dispatch state. An abort that itself panics quarantines the slot (the
     /// rollback did not complete, so the tables are in an unknown state).
@@ -281,25 +250,15 @@ impl EngineRegistry {
                 .expect("routing only lists live slots")
                 .poisoned
         });
-        self.stage_and_commit(&touched, |engine| engine.stage_batch(batch))
-    }
-
-    /// The stage → commit protocol over `slots` (ascending, live, unpoisoned):
-    /// stages each engine in slot order, stopping at the first failure (which is
-    /// therefore the lowest-slot failure); commits every stage on success, aborts
-    /// them in reverse on failure. Returns how many engines fired.
-    fn stage_and_commit(
-        &mut self,
-        slots: &[u32],
-        mut stage: impl FnMut(&mut dyn ViewEngine) -> Result<StagedBatch, RuntimeError>,
-    ) -> Result<u32, RuntimeError> {
-        let mut staged: Vec<(u32, StagedBatch)> = Vec::with_capacity(slots.len());
+        // Stage in slot order, stopping at the first (therefore lowest-slot) failure;
+        // commit every stage on success, abort them in reverse on failure.
+        let mut staged: Vec<(u32, StagedBatch)> = Vec::with_capacity(touched.len());
         let mut failure: Option<RuntimeError> = None;
-        for &slot in slots {
+        for &slot in &touched {
             let registered = self.slots[slot as usize]
                 .as_mut()
                 .expect("routing only lists live slots");
-            match catch_unwind(AssertUnwindSafe(|| stage(registered.engine.as_mut()))) {
+            match catch_unwind(AssertUnwindSafe(|| registered.engine.stage_batch(batch))) {
                 Ok(Ok(token)) => staged.push((slot, token)),
                 Ok(Err(err)) => {
                     failure = Some(err);
@@ -323,7 +282,7 @@ impl EngineRegistry {
                 .engine
                 .commit_staged(token);
         }
-        Ok(slots.len() as u32)
+        Ok(touched.len() as u32)
     }
 }
 
@@ -335,7 +294,7 @@ mod tests {
     use dbring_agca::parser::parse_query;
     use dbring_algebra::Number;
     use dbring_compiler::compile;
-    use dbring_relations::{Database, Value};
+    use dbring_relations::{Database, Update, Value};
 
     fn catalog() -> Database {
         let mut db = Database::new();
@@ -349,6 +308,14 @@ mod tests {
         boxed_engine(program, StorageBackend::Hash)
     }
 
+    /// Dispatches one single-column insert as a one-update batch.
+    fn insert(registry: &mut EngineRegistry, relation: &str, value: i64) -> u32 {
+        let updates = [Update::insert(relation, vec![Value::int(value)])];
+        registry
+            .apply_batch(&DeltaBatch::from_updates(&updates))
+            .unwrap()
+    }
+
     #[test]
     fn updates_route_only_to_reading_engines() {
         let mut registry = EngineRegistry::new();
@@ -360,20 +327,12 @@ mod tests {
         assert_eq!(registry.readers_of("S"), &[s_sum, both]);
         assert_eq!(registry.readers_of("T"), &[] as &[u32]);
 
-        let fired = registry
-            .apply(&Update::insert("R", vec![Value::int(1)]))
-            .unwrap();
-        assert_eq!(fired, 2);
+        assert_eq!(insert(&mut registry, "R", 1), 2);
         assert_eq!(registry.engine(r_sum).unwrap().stats().updates, 1);
         assert_eq!(registry.engine(s_sum).unwrap().stats().updates, 0);
         assert_eq!(registry.engine(both).unwrap().stats().updates, 1);
         // A relation nobody reads is a no-op, not an error.
-        assert_eq!(
-            registry
-                .apply(&Update::insert("T", vec![Value::int(1)]))
-                .unwrap(),
-            0
-        );
+        assert_eq!(insert(&mut registry, "T", 1), 0);
     }
 
     #[test]
@@ -415,9 +374,7 @@ mod tests {
         let c = registry.register(engine_for("c := Sum(R(x))"));
         assert_ne!(c, a);
         assert_eq!(registry.readers_of("R"), &[b, c]);
-        registry
-            .apply(&Update::insert("R", vec![Value::int(2)]))
-            .unwrap();
+        insert(&mut registry, "R", 2);
         assert_eq!(
             registry.engine(c).unwrap().output_value(&[]),
             Number::Int(1)
@@ -537,9 +494,7 @@ mod tests {
     fn engine_mut_reaches_the_hosted_engine() {
         let mut registry = EngineRegistry::new();
         let slot = registry.register(engine_for("a := Sum(R(x))"));
-        registry
-            .apply(&Update::insert("R", vec![Value::int(1)]))
-            .unwrap();
+        insert(&mut registry, "R", 1);
         registry.engine_mut(slot).unwrap().reset_stats();
         assert_eq!(registry.engine(slot).unwrap().stats().updates, 0);
         assert!(registry.engine_mut(42).is_none());

@@ -18,12 +18,12 @@
 //!   adjacent — the index shape that sort-merge-style batched maintenance and
 //!   leapfrog-triejoin-style multiway joins build on.
 //!
-//! Both executors ([`Executor`](crate::executor::Executor) and
-//! [`InterpretedExecutor`](crate::interp::InterpretedExecutor)) are generic over the
-//! backend with `HashViewStorage` as the default, so existing code is unaffected;
-//! [`StorageBackend`] names the backends for runtime selection (strategy registry,
-//! experiment CLIs), and [`StorageFootprint`] is the common memory proxy the
-//! `exp_storage` experiment compares.
+//! The [`Executor`](crate::executor::Executor) is generic over the backend with
+//! `HashViewStorage` as the default, so existing code is unaffected;
+//! [`StorageBackend`] names the backends for runtime selection
+//! ([`boxed_engine`](crate::engine::boxed_engine), experiment CLIs), and
+//! [`StorageFootprint`] is the common memory proxy the `exp_storage` experiment
+//! compares.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -1,34 +1,30 @@
 //! A common interface over the maintenance strategies, so experiments, tests and
 //! benchmarks can drive them interchangeably — including the same strategy over
-//! different [`StorageBackend`]s, selected by name (`"recursive-ivm@ordered"`).
+//! different storage backends (`"recursive-ivm"` vs `"recursive-ivm@ordered"`).
 
 use std::collections::BTreeMap;
 
 use dbring_algebra::Number;
-use dbring_compiler::TriggerProgram;
 use dbring_relations::{Update, Value};
 
 use crate::executor::Executor;
-use crate::interp::InterpretedExecutor;
-use crate::storage::{HashViewStorage, OrderedViewStorage, StorageBackend};
+use crate::storage::ViewStorage;
 
 /// A view-maintenance strategy: consumes single-tuple updates and can report the current
 /// query result (a table from group keys to aggregate values).
 pub trait MaintenanceStrategy {
     /// A short name used in experiment output: the strategy family
-    /// ("recursive-ivm", "recursive-ivm-interpreted", "classical-ivm", "naive"),
-    /// suffixed with `@<backend>` when it runs on a non-default storage backend
-    /// ("recursive-ivm@ordered").
+    /// ("recursive-ivm", "classical-ivm", "naive"), suffixed with `@<backend>` when it
+    /// runs on a non-default storage backend ("recursive-ivm@ordered").
     fn strategy_name(&self) -> &'static str;
 
     /// Applies one single-tuple update.
     fn apply_update(&mut self, update: &Update) -> Result<(), String>;
 
     /// Applies a batch of updates. The default loops [`apply_update`]; strategies with
-    /// a real batch path (the trigger-program executors) override it to consolidate the
+    /// a real batch path (the trigger-program executor) override it to consolidate the
     /// batch into a [`DeltaBatch`](dbring_relations::DeltaBatch) and fire each affected
-    /// map once. Either way the result equals applying the updates one by one; like the
-    /// per-update path, a mid-batch failure is not rolled back.
+    /// map once. Either way the result equals applying the updates one by one.
     ///
     /// [`apply_update`]: MaintenanceStrategy::apply_update
     fn apply_update_batch(&mut self, updates: &[Update]) -> Result<(), String> {
@@ -47,7 +43,7 @@ pub trait MaintenanceStrategy {
     /// **Cost of the default impl:** it calls [`current_result`], materializing the
     /// *entire* result table (one allocation per group) to answer a single-key lookup.
     /// That is fine for the baselines' occasional oracle checks, but any strategy that
-    /// can probe its result directly must override this — all four in-tree strategy
+    /// can probe its result directly must override this — all three in-tree strategy
     /// families do — and callers probing in a loop should prefer a strategy-specific
     /// accessor over a `dyn MaintenanceStrategy` default.
     ///
@@ -60,105 +56,37 @@ pub trait MaintenanceStrategy {
     }
 }
 
-/// Implements [`MaintenanceStrategy`] for one concrete executor type, with a literal
-/// strategy name (names must be `&'static str`, so each backend combination gets its
-/// own impl rather than a formatted string).
-macro_rules! impl_executor_strategy {
-    ($ty:ty, $name:literal) => {
-        impl MaintenanceStrategy for $ty {
-            fn strategy_name(&self) -> &'static str {
-                $name
-            }
-
-            fn apply_update(&mut self, update: &Update) -> Result<(), String> {
-                self.apply(update).map_err(|e| e.to_string())
-            }
-
-            // The real batch path: consolidate once, fire each affected map once.
-            fn apply_update_batch(&mut self, updates: &[Update]) -> Result<(), String> {
-                self.apply_batch(&dbring_relations::DeltaBatch::from_updates(updates))
-                    .map_err(|e| e.to_string())
-            }
-
-            fn current_result(&self) -> BTreeMap<Vec<Value>, Number> {
-                self.output_table()
-            }
-
-            // Direct probe of the output map: no table materialization.
-            fn result_value(&self, key: &[Value]) -> Number {
-                self.output_value(key)
-            }
-        }
-    };
-}
-
-impl_executor_strategy!(Executor<HashViewStorage>, "recursive-ivm");
-impl_executor_strategy!(Executor<OrderedViewStorage>, "recursive-ivm@ordered");
-impl_executor_strategy!(
-    InterpretedExecutor<HashViewStorage>,
-    "recursive-ivm-interpreted"
-);
-impl_executor_strategy!(
-    InterpretedExecutor<OrderedViewStorage>,
-    "recursive-ivm-interpreted@ordered"
-);
-
-/// Builds the lowered recursive-IVM strategy for a compiled program on the given
-/// storage backend, behind the dynamic strategy interface.
-///
-/// # Panics
-/// Panics if the program does not lower (impossible for compiler-produced programs).
-pub fn recursive_ivm(
-    program: TriggerProgram,
-    backend: StorageBackend,
-) -> Box<dyn MaintenanceStrategy> {
-    match backend {
-        StorageBackend::Hash => Box::new(Executor::<HashViewStorage>::with_backend(program)),
-        StorageBackend::Ordered => Box::new(Executor::<OrderedViewStorage>::with_backend(program)),
+impl<S: ViewStorage> MaintenanceStrategy for Executor<S> {
+    fn strategy_name(&self) -> &'static str {
+        crate::engine::executor_name::<S>()
     }
-}
 
-/// Builds the interpreted recursive-IVM reference strategy on the given storage backend.
-pub fn interpreted_ivm(
-    program: TriggerProgram,
-    backend: StorageBackend,
-) -> Box<dyn MaintenanceStrategy> {
-    match backend {
-        StorageBackend::Hash => Box::new(InterpretedExecutor::<HashViewStorage>::with_backend(
-            program,
-        )),
-        StorageBackend::Ordered => Box::new(
-            InterpretedExecutor::<OrderedViewStorage>::with_backend(program),
-        ),
+    fn apply_update(&mut self, update: &Update) -> Result<(), String> {
+        self.apply(update).map_err(|e| e.to_string())
     }
-}
 
-/// Resolves a trigger-program strategy by its registry name: a family name
-/// (`"recursive-ivm"`, `"recursive-ivm-interpreted"`), optionally suffixed with
-/// `@<backend>` (`"recursive-ivm@ordered"`). No suffix means the hash backend.
-/// Returns `None` for unknown families or backends. (The database-retaining baselines
-/// `classical-ivm` / `naive` are constructed from a database + query, not a compiled
-/// program, so they are not served here.)
-pub fn strategy_by_name(
-    name: &str,
-    program: TriggerProgram,
-) -> Option<Box<dyn MaintenanceStrategy>> {
-    let (family, backend) = match name.split_once('@') {
-        Some((family, backend)) => (family, StorageBackend::parse(backend)?),
-        None => (name, StorageBackend::Hash),
-    };
-    match family {
-        "recursive-ivm" => Some(recursive_ivm(program, backend)),
-        "recursive-ivm-interpreted" => Some(interpreted_ivm(program, backend)),
-        _ => None,
+    // The real batch path: consolidate once, fire each affected map once.
+    fn apply_update_batch(&mut self, updates: &[Update]) -> Result<(), String> {
+        self.apply_batch(&dbring_relations::DeltaBatch::from_updates(updates))
+            .map_err(|e| e.to_string())
+    }
+
+    fn current_result(&self) -> BTreeMap<Vec<Value>, Number> {
+        self.output_table()
+    }
+
+    // Direct probe of the output map: no table materialization.
+    fn result_value(&self, key: &[Value]) -> Number {
+        self.output_value(key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::{HashViewStorage, OrderedViewStorage};
     use dbring_agca::parser::parse_query;
-    use dbring_compiler::compile;
+    use dbring_compiler::{compile, TriggerProgram};
     use dbring_relations::Database;
 
     fn sum_program() -> TriggerProgram {
@@ -166,6 +94,14 @@ mod tests {
         catalog.declare("R", &["A"]).unwrap();
         let q = parse_query("q := Sum(R(x))").unwrap();
         compile(&catalog, &q).unwrap()
+    }
+
+    /// The executor on both in-tree backends, behind the dynamic interface.
+    fn executors() -> Vec<Box<dyn MaintenanceStrategy>> {
+        vec![
+            Box::new(Executor::<HashViewStorage>::new(sum_program())),
+            Box::new(Executor::<OrderedViewStorage>::with_backend(sum_program())),
+        ]
     }
 
     #[test]
@@ -185,22 +121,10 @@ mod tests {
 
     #[test]
     fn backend_factories_yield_equivalent_strategies_with_distinct_names() {
-        let mut strategies = vec![
-            recursive_ivm(sum_program(), StorageBackend::Hash),
-            recursive_ivm(sum_program(), StorageBackend::Ordered),
-            interpreted_ivm(sum_program(), StorageBackend::Hash),
-            interpreted_ivm(sum_program(), StorageBackend::Ordered),
-        ];
+        let mut strategies = executors();
         let names: Vec<&str> = strategies.iter().map(|s| s.strategy_name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "recursive-ivm",
-                "recursive-ivm@ordered",
-                "recursive-ivm-interpreted",
-                "recursive-ivm-interpreted@ordered",
-            ]
-        );
+        assert_eq!(names, vec!["recursive-ivm", "recursive-ivm@ordered"]);
+        let expected: BTreeMap<Vec<Value>, Number> = [(vec![], Number::Int(1))].into();
         for s in &mut strategies {
             s.apply_update(&Update::insert("R", vec![Value::int(5)]))
                 .unwrap();
@@ -209,19 +133,8 @@ mod tests {
             s.apply_update(&Update::delete("R", vec![Value::int(6)]))
                 .unwrap();
             assert_eq!(s.result_value(&[]), Number::Int(1), "{}", s.strategy_name());
-            assert_eq!(
-                s.current_result(),
-                strategies_result(),
-                "{}",
-                s.strategy_name()
-            );
+            assert_eq!(s.current_result(), expected, "{}", s.strategy_name());
         }
-    }
-
-    fn strategies_result() -> BTreeMap<Vec<Value>, Number> {
-        let mut expected = BTreeMap::new();
-        expected.insert(vec![], Number::Int(1));
-        expected
     }
 
     #[test]
@@ -230,47 +143,17 @@ mod tests {
             .map(|i| Update::insert("R", vec![Value::int(i % 4)]))
             .chain((0..3).map(|i| Update::delete("R", vec![Value::int(i)])))
             .collect();
-        for name in [
-            "recursive-ivm",
-            "recursive-ivm@ordered",
-            "recursive-ivm-interpreted",
-            "recursive-ivm-interpreted@ordered",
-        ] {
-            let mut per_update = strategy_by_name(name, sum_program()).unwrap();
+        for (mut per_update, mut batched) in executors().into_iter().zip(executors()) {
             for u in &updates {
                 per_update.apply_update(u).unwrap();
             }
-            let mut batched = strategy_by_name(name, sum_program()).unwrap();
             batched.apply_update_batch(&updates).unwrap();
             assert_eq!(
                 per_update.current_result(),
                 batched.current_result(),
-                "{name}"
+                "{}",
+                per_update.strategy_name()
             );
         }
-    }
-
-    #[test]
-    fn strategy_names_resolve_through_the_registry() {
-        for name in [
-            "recursive-ivm",
-            "recursive-ivm@hash",
-            "recursive-ivm@ordered",
-            "recursive-ivm-interpreted",
-            "recursive-ivm-interpreted@ordered",
-        ] {
-            let mut s =
-                strategy_by_name(name, sum_program()).unwrap_or_else(|| panic!("{name} resolves"));
-            s.apply_update(&Update::insert("R", vec![Value::int(1)]))
-                .unwrap();
-            assert_eq!(s.result_value(&[]), Number::Int(1), "{name}");
-            // `@hash` is the explicit spelling of the default.
-            if name == "recursive-ivm@hash" {
-                assert_eq!(s.strategy_name(), "recursive-ivm");
-            }
-        }
-        assert!(strategy_by_name("recursive-ivm@mmap", sum_program()).is_none());
-        assert!(strategy_by_name("bogus", sum_program()).is_none());
-        assert!(strategy_by_name("naive", sum_program()).is_none());
     }
 }

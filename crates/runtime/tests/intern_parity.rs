@@ -1,8 +1,8 @@
 //! Parity of the interned fixed-width ingest path with the classic `Vec<Value>` path,
 //! at the executor level: feeding a [`BatchNormalizer`]-built batch must produce the
 //! same tables AND bit-identical [`ExecStats`] as feeding the reference
-//! [`DeltaBatch::from_updates`] batch — across hash/ordered backends, lowered and
-//! interpreted executors, and an explicit `stage_batch`/`commit_staged` pair.
+//! [`DeltaBatch::from_updates`] batch — across hash/ordered backends and an explicit
+//! `stage_batch`/`commit_staged` pair.
 //!
 //! The traces are string-heavy on purpose: group keys are strings whose interner ids
 //! are assigned in non-lexicographic order, so a flush that sorted by id instead of by
@@ -11,9 +11,7 @@
 use dbring_agca::parser::parse_query;
 use dbring_compiler::{compile, TriggerProgram};
 use dbring_relations::{BatchNormalizer, Database, DeltaBatch, Update, Value};
-use dbring_runtime::{
-    Executor, HashViewStorage, InterpretedExecutor, OrderedViewStorage, ViewStorage,
-};
+use dbring_runtime::{Executor, HashViewStorage, OrderedViewStorage, ViewStorage};
 use proptest::prelude::*;
 
 /// Lexicographic traps: ids get assigned in arrival order, which these strings make
@@ -57,14 +55,12 @@ fn arb_update() -> impl Strategy<Value = Update> {
 }
 
 /// Runs the full matrix for one backend: every executor consumes the same chunked
-/// trace, some through the interned normalizer, some through the classic constructor,
-/// and all pairs must agree exactly.
+/// trace, through the interned normalizer, the classic constructor, or per tuple,
+/// and all must agree exactly.
 fn check_backend<S: ViewStorage>(program: &TriggerProgram, trace: &[Update], chunk: usize) {
     let mut interned = Executor::<S>::with_backend(program.clone());
     let mut classic = Executor::<S>::with_backend(program.clone());
     let mut staged = Executor::<S>::with_backend(program.clone());
-    let mut interp_interned = InterpretedExecutor::<S>::with_backend(program.clone());
-    let mut interp_classic = InterpretedExecutor::<S>::with_backend(program.clone());
     let mut per_tuple = Executor::<S>::with_backend(program.clone());
     let mut normalizer = BatchNormalizer::new();
     for c in trace.chunks(chunk.max(1)) {
@@ -75,18 +71,11 @@ fn check_backend<S: ViewStorage>(program: &TriggerProgram, trace: &[Update], chu
         classic.apply_batch(&classic_batch).unwrap();
         let txn = staged.stage_batch(&interned_batch).unwrap();
         staged.commit_staged(txn);
-        interp_interned.apply_batch(&interned_batch).unwrap();
-        interp_classic.apply_batch(&classic_batch).unwrap();
         per_tuple.apply_all(c).unwrap();
     }
-    // Interned vs classic: tables and bit-identical work counters, on both executors.
+    // Interned vs classic: tables and bit-identical work counters.
     assert_eq!(interned.output_table(), classic.output_table());
     assert_eq!(interned.stats(), classic.stats());
-    assert_eq!(
-        interp_interned.output_table(),
-        interp_classic.output_table()
-    );
-    assert_eq!(interp_interned.stats(), interp_classic.stats());
     // An explicit stage → commit rides the same representation and changes nothing.
     assert_eq!(staged.output_table(), classic.output_table());
     assert_eq!(staged.stats(), classic.stats());

@@ -2,10 +2,13 @@
 //!
 //! The lowered [`Executor`] must agree with (a) the AGCA reference evaluator run on the
 //! final database — full-pipeline correctness over random update traces with mixed
-//! multiplicities — and (b) the string-named [`InterpretedExecutor`] — not just on the
-//! final table but *operation for operation*: the [`ExecStats`] counters of the two
-//! paths are maintained identically, so any divergence in work accounting (the quantity
-//! the paper's Theorem 7.1 bounds) is a test failure, not a benchmarking footnote.
+//! multiplicities — and (b) the string-named [`InterpretedExecutor`] test oracle
+//! (`tests/interp`) — not just on the final table but *operation for operation*: the
+//! [`ExecStats`] counters of the two paths are maintained identically, so any divergence
+//! in work accounting (the quantity the paper's Theorem 7.1 bounds) is a test failure,
+//! not a benchmarking footnote.
+
+mod interp;
 
 use dbring_agca::ast::Query;
 use dbring_agca::eval::eval_all_groups;
@@ -13,7 +16,8 @@ use dbring_agca::parser::parse_query;
 use dbring_algebra::{Number, Semiring};
 use dbring_compiler::compile;
 use dbring_relations::{Database, Update, Value};
-use dbring_runtime::{ExecStats, Executor, InterpretedExecutor};
+use dbring_runtime::{ExecStats, Executor, RuntimeError};
+use interp::InterpretedExecutor;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -120,10 +124,10 @@ fn exec_stats_agree_between_interpreted_and_lowered_paths() {
         let program = compile(&workload.catalog, &workload.query).unwrap();
         let mut lowered = Executor::new(program.clone());
         let mut interpreted = InterpretedExecutor::new(program);
-        for update in workload.initial.iter().chain(&workload.stream) {
-            lowered.apply(update).unwrap();
-            interpreted.apply(update).unwrap();
-        }
+        lowered.apply_all(&workload.initial).unwrap();
+        lowered.apply_all(&workload.stream).unwrap();
+        interpreted.apply_all(&workload.initial).unwrap();
+        interpreted.apply_all(&workload.stream).unwrap();
         let (l, i) = (lowered.stats(), interpreted.stats());
         assert_eq!(l, i, "stats diverged on workload {}", workload.name);
         assert_eq!(
@@ -163,4 +167,57 @@ fn constant_work_per_update_is_preserved_by_lowering() {
     }
     assert!(worst <= 12, "per-update ops grew to {worst}");
     assert!(exec.total_entries() > 7);
+}
+
+/// The oracle itself reproduces the paper's Example 1.2 trace (the table of values in
+/// Section 1), so parity with it is parity with the paper.
+#[test]
+fn interpreter_maintains_the_example_1_2_trace() {
+    let q = parse_query("q := Sum(R(x) * R(y) * (x = y))").unwrap();
+    let mut exec = InterpretedExecutor::new(compile(&catalog(), &q).unwrap());
+    let ins = |v: &str| Update::insert("R", vec![Value::str(v)]);
+    let del = |v: &str| Update::delete("R", vec![Value::str(v)]);
+    let trace = [
+        (ins("c"), 1),
+        (ins("c"), 4),
+        (ins("d"), 5),
+        (ins("c"), 10),
+        (del("d"), 9),
+        (ins("c"), 16),
+        (del("c"), 9),
+    ];
+    for (update, expected) in trace {
+        exec.apply(&update).unwrap();
+        assert_eq!(exec.output_value(&[]), Number::Int(expected));
+    }
+    assert_eq!(exec.stats().updates, 7);
+}
+
+/// Zero multiplicity is a no-op on both paths, and `apply_all` failures carry the
+/// failing index with every earlier update applied — identically on both paths.
+#[test]
+fn interpreter_no_ops_zero_multiplicity_and_indexes_apply_all_errors() {
+    let q = parse_query("q := Sum(R(x))").unwrap();
+    let program = compile(&catalog(), &q).unwrap();
+    let mut zero = Update::insert("R", vec![Value::int(1)]);
+    zero.multiplicity = 0;
+    let bad = [
+        Update::insert("R", vec![Value::int(1)]),
+        Update::insert("R", vec![]),
+    ];
+    let mut interpreted = InterpretedExecutor::new(program.clone());
+    let mut lowered = Executor::new(program);
+    interpreted.apply(&zero).unwrap();
+    lowered.apply(&zero).unwrap();
+    assert_eq!(interpreted.stats(), ExecStats::default());
+    assert_eq!(lowered.stats(), ExecStats::default());
+    for err in [
+        interpreted.apply_all(&bad).unwrap_err(),
+        lowered.apply_all(&bad).unwrap_err(),
+    ] {
+        assert!(matches!(&err, RuntimeError::AtUpdate { index: 1, source }
+                if matches!(**source, RuntimeError::ArityMismatch { .. })));
+    }
+    assert_eq!(interpreted.stats(), lowered.stats());
+    assert_eq!(lowered.stats().updates, 1, "update 0 was already applied");
 }

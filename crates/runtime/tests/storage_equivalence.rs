@@ -6,6 +6,8 @@
 //! that holds, both executors must produce identical output tables, identical view
 //! hierarchies, and — because [`ExecStats`] counts one operation per visited entry —
 //! *exactly* equal work counters on every backend, for random mixed-multiplicity traces.
+//! (Work parity with the reference interpreter is `lowered_equivalence.rs`'s job; here
+//! the lowered executor on the hash backend is the reference for the ordered one.)
 //! A backend whose index misses an entry (the `register_index` backfill regression) or
 //! whose range scan over- or under-shoots fails these tests, not just a benchmark.
 
@@ -15,9 +17,7 @@ use dbring_agca::parser::parse_query;
 use dbring_algebra::{Number, Semiring};
 use dbring_compiler::compile;
 use dbring_relations::{Database, DeltaBatch, Update, Value};
-use dbring_runtime::{
-    ExecStats, Executor, HashViewStorage, InterpretedExecutor, OrderedViewStorage, ViewStorage,
-};
+use dbring_runtime::{ExecStats, Executor, HashViewStorage, OrderedViewStorage, ViewStorage};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -43,7 +43,7 @@ fn corpus() -> Vec<Query> {
 }
 
 /// A random update with mixed multiplicities: plain inserts/deletes plus batched
-/// |multiplicity| > 1 updates (which the executors must unroll into single-tuple
+/// |multiplicity| > 1 updates (which the executor must unroll into single-tuple
 /// firings).
 fn arb_update() -> impl Strategy<Value = Update> {
     prop_oneof![
@@ -69,22 +69,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn hash_and_ordered_backends_agree_on_both_executors(
+    fn hash_and_ordered_backends_agree(
         trace in prop::collection::vec(arb_update(), 1..50),
     ) {
         let catalog = catalog();
         for query in corpus() {
             let program = compile(&catalog, &query).unwrap();
             let mut lowered_hash = Executor::<HashViewStorage>::with_backend(program.clone());
-            let mut lowered_ordered = Executor::<OrderedViewStorage>::with_backend(program.clone());
-            let mut interp_hash = InterpretedExecutor::<HashViewStorage>::with_backend(program.clone());
-            let mut interp_ordered = InterpretedExecutor::<OrderedViewStorage>::with_backend(program);
+            let mut lowered_ordered = Executor::<OrderedViewStorage>::with_backend(program);
             let mut db = catalog.clone();
             for update in &trace {
                 lowered_hash.apply(update).unwrap();
                 lowered_ordered.apply(update).unwrap();
-                interp_hash.apply(update).unwrap();
-                interp_ordered.apply(update).unwrap();
                 db.apply(update).unwrap();
             }
             // (a) Final-state correctness against from-scratch evaluation.
@@ -95,8 +91,8 @@ proptest! {
                 "ordered backend diverged from the reference evaluator on {}",
                 &query.name
             );
-            // (b) Backend equivalence on the lowered executor: tables, hierarchy size,
-            // and exactly equal work counters.
+            // (b) Backend equivalence: tables, hierarchy size, and exactly equal work
+            // counters.
             prop_assert_eq!(lowered_hash.output_table(), lowered_ordered.output_table());
             prop_assert_eq!(lowered_hash.total_entries(), lowered_ordered.total_entries());
             prop_assert_eq!(
@@ -105,18 +101,6 @@ proptest! {
                 "lowered work counters diverged across backends on {}",
                 &query.name
             );
-            // (c) Backend equivalence on the interpreted executor.
-            prop_assert_eq!(interp_hash.output_table(), interp_ordered.output_table());
-            prop_assert_eq!(interp_hash.total_entries(), interp_ordered.total_entries());
-            prop_assert_eq!(
-                interp_hash.stats(),
-                interp_ordered.stats(),
-                "interpreted work counters diverged across backends on {}",
-                &query.name
-            );
-            // (d) Cross-executor parity holds on the ordered backend too (the lowered ×
-            // hash pairing is covered by `lowered_equivalence.rs`).
-            prop_assert_eq!(lowered_ordered.stats(), interp_ordered.stats());
             // Entry counts agree across backends even though index layouts differ.
             prop_assert_eq!(
                 lowered_hash.storage_footprint().entries,
@@ -143,37 +127,26 @@ fn permute(mut trace: Vec<Update>, mut seed: u64) -> Vec<Update> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole's correctness bar: `apply_batch` over *any* chunking of *any*
+    /// The batch path's correctness bar: `apply_batch` over *any* chunking of *any*
     /// permutation of a mixed-multiplicity trace ends in exactly the tables the
-    /// per-tuple `apply_all` reaches, on every backend × executor combination. (The
-    /// maintained views depend only on the net delta, which permutation, chunking and
-    /// in-batch consolidation all preserve.)
+    /// per-tuple `apply_all` reaches, on every backend, and both backends do exactly
+    /// the same batch work. (The maintained views depend only on the net delta, which
+    /// permutation, chunking and in-batch consolidation all preserve.)
     #[test]
-    fn apply_batch_matches_per_tuple_apply_all_across_backends_and_executors(
+    fn apply_batch_matches_per_tuple_apply_all_across_backends(
         trace in prop::collection::vec(arb_update(), 1..60),
         chunk in 1usize..9,
         perm_seed in 0u64..u64::MAX,
     ) {
-        type Table = BTreeMap<Vec<Value>, Number>;
-        fn batch_tables<S: ViewStorage>(
+        fn batched<S: ViewStorage>(
             program: &dbring_compiler::TriggerProgram,
             chunks: &[&[Update]],
-        ) -> (Table, Table, usize, usize) {
-            let mut lowered = Executor::<S>::with_backend(program.clone());
-            let mut interp = InterpretedExecutor::<S>::with_backend(program.clone());
+        ) -> Executor<S> {
+            let mut exec = Executor::<S>::with_backend(program.clone());
             for chunk in chunks {
-                let batch = DeltaBatch::from_updates(*chunk);
-                lowered.apply_batch(&batch).unwrap();
-                interp.apply_batch(&batch).unwrap();
+                exec.apply_batch(&DeltaBatch::from_updates(*chunk)).unwrap();
             }
-            // The two batch paths also account their work identically.
-            assert_eq!(lowered.stats(), interp.stats());
-            (
-                lowered.output_table(),
-                interp.output_table(),
-                lowered.total_entries(),
-                interp.total_entries(),
-            )
+            exec
         }
         let catalog = catalog();
         let permuted = permute(trace.clone(), perm_seed);
@@ -184,17 +157,15 @@ proptest! {
             reference.apply_all(&trace).unwrap();
             let expected = reference.output_table();
             let expected_entries = reference.total_entries();
-            let (lh, ih, leh, ieh) = batch_tables::<HashViewStorage>(&program, &chunks);
-            let (lo, io, leo, ieo) = batch_tables::<OrderedViewStorage>(&program, &chunks);
-            prop_assert_eq!(&lh, &expected, "lowered/hash diverged on {}", &query.name);
-            prop_assert_eq!(&ih, &expected, "interp/hash diverged on {}", &query.name);
-            prop_assert_eq!(&lo, &expected, "lowered/ordered diverged on {}", &query.name);
-            prop_assert_eq!(&io, &expected, "interp/ordered diverged on {}", &query.name);
+            let hash = batched::<HashViewStorage>(&program, &chunks);
+            let ordered = batched::<OrderedViewStorage>(&program, &chunks);
+            prop_assert_eq!(&hash.output_table(), &expected, "hash diverged on {}", &query.name);
+            prop_assert_eq!(&ordered.output_table(), &expected, "ordered diverged on {}", &query.name);
             // The whole view hierarchy (not just the output map) converged too.
-            prop_assert_eq!(leh, expected_entries);
-            prop_assert_eq!(ieh, expected_entries);
-            prop_assert_eq!(leo, expected_entries);
-            prop_assert_eq!(ieo, expected_entries);
+            prop_assert_eq!(hash.total_entries(), expected_entries);
+            prop_assert_eq!(ordered.total_entries(), expected_entries);
+            // Both backends account the batch work identically.
+            prop_assert_eq!(hash.stats(), ordered.stats());
         }
     }
 }

@@ -13,7 +13,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-use dbring::StorageBackend;
 use dbring_server::{Server, ServerConfig};
 
 fn main() -> ExitCode {
@@ -31,10 +30,9 @@ fn main() -> ExitCode {
                 Some(n) => config.batch_max = n,
                 None => return usage("--batch needs a number"),
             },
-            "--backend" => match args.next().as_deref() {
-                Some("hash") => config.backend = StorageBackend::Hash,
-                Some("ordered") => config.backend = StorageBackend::Ordered,
-                _ => return usage("--backend is hash or ordered"),
+            "--backend" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(backend) => config.backend = backend,
+                None => return usage("--backend is hash or ordered"),
             },
             "--self-test" => self_test = true,
             other => return usage(&format!("unknown argument {other}")),

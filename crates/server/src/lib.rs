@@ -1,7 +1,7 @@
 //! A small threaded serving front end over [`dbring`]: tenants map to independent
 //! [`Ring`] shards, writes flow through a per-tenant ingest thread, and reads are
-//! answered from lock-free [`ViewSnapshot`](dbring::ViewSnapshot) handles without ever
-//! touching the writer.
+//! answered from [`ViewSnapshot`](dbring::ViewSnapshot) handles without ever touching
+//! the writer.
 //!
 //! ## Architecture
 //!
@@ -13,7 +13,8 @@
 //!        │                      quiescent points, publishes snapshots on commit
 //!        │ reads: GET / TABLE / SCAN                    (no ingest round-trip)
 //!        ▼
-//!   RingHandle ── Arc-shared snapshot store; O(1) acquire, lock-free reads
+//!   RingHandle ── Arc-shared snapshot store; O(1) acquire (RwLock read + slot
+//!                 Mutex), then lock-free reads of the acquired snapshot
 //! ```
 //!
 //! Each tenant's ingest thread owns its [`Ring`] exclusively (the `RingHandle` split:
@@ -38,7 +39,7 @@
 //! | `DROP <tenant> <view>` | `OK dropped <view>` |
 //! | `INSERT <tenant> <relation> <val>...` | `OK queued` |
 //! | `DELETE <tenant> <relation> <val>...` | `OK queued` |
-//! | `FLUSH <tenant>` | `OK ingested=<n>` |
+//! | `FLUSH <tenant>` | `OK ingested=<n>`, or `ERR` naming this connection's rejected updates |
 //! | `GET <tenant> <view> <key>...` | `VALUE <number>` |
 //! | `TABLE <tenant> <view>` | `ROW <key>... <number>` lines, then `END ...` |
 //! | `SCAN <tenant> <view> <prefix>...` | `ROW` lines, then `END ...` |
@@ -47,9 +48,26 @@
 //! | `SHUTDOWN` | `OK shutting down` (stops the whole server) |
 //!
 //! Relations must be declared before the tenant's first view or update (a ring's
-//! catalog is fixed when the ring is built). `INSERT`/`DELETE` validate the relation
-//! name and arity synchronously but apply asynchronously; `GET` after `FLUSH` is
-//! guaranteed to observe the flushed rows.
+//! catalog is fixed when the ring is built). `GET` after `FLUSH` is guaranteed to
+//! observe the flushed rows.
+//!
+//! ## What `OK queued` promises
+//!
+//! `INSERT`/`DELETE` validate the relation name and arity synchronously; `OK queued`
+//! means the update passed that check and sits in the tenant's pending batch. It does
+//! **not** yet mean the update landed: a trigger can still reject its values (a string
+//! where a view multiplies), and queued updates that were never committed are lost if
+//! the process dies. What is promised:
+//!
+//! * a queued update lands unless *it itself* is rejected. Updates from several
+//!   connections share a batch; when the batch is rejected, the ring has rolled it back
+//!   everywhere, and the ingest thread retries its updates one at a time, so only the
+//!   offending updates fail;
+//! * a rejection is reported to the connection that queued the update, on its next
+//!   `FLUSH <tenant>`: `ERR <n> queued update(s) rejected since the last FLUSH; first:
+//!   <error>`. Otherwise `FLUSH` replies `OK ingested=<n>`. Each connection keeps at
+//!   most one error message plus a count per tenant, cleared by that `FLUSH` or when
+//!   the connection closes.
 //!
 //! A request line longer than [`MAX_LINE_BYTES`] gets `ERR line too long` and the
 //! connection is closed. `SHUTDOWN` closes every other live connection too, so an
@@ -95,6 +113,10 @@ impl Default for ServerConfig {
     }
 }
 
+/// Identifies a client connection (its key in [`ServerState::connections`]); the
+/// ingest thread charges each rejected update to the connection that queued it.
+type ConnId = u64;
+
 /// A request routed to a tenant's ingest thread, paired with a reply channel.
 struct Request {
     command: Command,
@@ -116,8 +138,15 @@ enum Command {
     },
     Ingest {
         update: Update,
+        conn: ConnId,
     },
-    Flush,
+    Flush {
+        conn: ConnId,
+    },
+    /// The connection closed: commit its queued updates and forget its rejections.
+    Disconnect {
+        conn: ConnId,
+    },
     Stats,
     Stop,
 }
@@ -125,7 +154,7 @@ enum Command {
 /// State shared between a tenant's ingest thread and connection handlers.
 struct TenantShared {
     /// Set exactly once, when the tenant transitions from schema-building to serving
-    /// (its ring is built). Read paths clone the handle out and never lock again.
+    /// (its ring is built). Each read locks it only to clone the handle out.
     reader: Mutex<Option<RingHandle>>,
 }
 
@@ -133,6 +162,41 @@ struct Tenant {
     requests: Sender<Request>,
     shared: Arc<TenantShared>,
     worker: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// One connection's handler-side state: its id, and the tenants it queued updates to,
+/// which are told when the connection closes (on drop) so they can forget it.
+struct Client {
+    id: ConnId,
+    ingested_to: Vec<Arc<Tenant>>,
+}
+
+impl Drop for Client {
+    fn drop(&mut self) {
+        for tenant in &self.ingested_to {
+            // Fire and forget: nobody waits for the reply.
+            let (reply, _) = mpsc::channel();
+            let command = Command::Disconnect { conn: self.id };
+            let _ = tenant.requests.send(Request { command, reply });
+        }
+    }
+}
+
+/// A tenant's queued updates, each tagged with the connection that sent it, plus the
+/// rejections not yet reported to their connections.
+#[derive(Default)]
+struct Pending {
+    updates: Vec<Update>,
+    /// `conns[i]` queued `updates[i]`.
+    conns: Vec<ConnId>,
+    rejected: HashMap<ConnId, Rejected>,
+}
+
+/// The rejections one connection has not collected yet: the first error message and
+/// how many of its updates were rejected in all.
+struct Rejected {
+    first: String,
+    count: u64,
 }
 
 /// The tenant's ring, or the catalog still being declared before the first view.
@@ -253,6 +317,10 @@ fn roundtrip(tenant: &Tenant, command: Command) -> Result<String, String> {
 /// Serves one client until it quits, hangs up, sends an oversized line or stops the
 /// server. `id` is the connection's key in [`ServerState::connections`].
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream, id: u64) -> io::Result<()> {
+    let mut client = Client {
+        id,
+        ingested_to: Vec::new(),
+    };
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
     let mut buf = Vec::new();
@@ -277,7 +345,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream, id: u64) -> io
         if trimmed.is_empty() {
             continue;
         }
-        let (lines, after) = dispatch(state, trimmed);
+        let (lines, after) = dispatch(state, &mut client, trimmed);
         for reply_line in &lines {
             writeln!(out, "{reply_line}")?;
         }
@@ -309,7 +377,7 @@ enum After {
 
 /// Parses one request line and produces the response lines plus what the handler
 /// does next.
-fn dispatch(state: &Arc<ServerState>, line: &str) -> (Vec<String>, After) {
+fn dispatch(state: &Arc<ServerState>, client: &mut Client, line: &str) -> (Vec<String>, After) {
     let tokens: Vec<&str> = line.split_whitespace().collect();
     let verb = tokens[0].to_ascii_uppercase();
     let reply = match verb.as_str() {
@@ -352,11 +420,17 @@ fn dispatch(state: &Arc<ServerState>, line: &str) -> (Vec<String>, After) {
             } else {
                 Update::delete(t[2], values)
             };
-            roundtrip(&tenant, Command::Ingest { update }).map(ok_line)
+            let conn = client.id;
+            let reply = roundtrip(&tenant, Command::Ingest { update, conn })?;
+            let known = client.ingested_to.iter().any(|k| Arc::ptr_eq(k, &tenant));
+            if !known {
+                client.ingested_to.push(tenant);
+            }
+            Ok(ok_line(reply))
         }),
         "FLUSH" => with_args(&tokens, 2, |t| {
             let tenant = known_tenant(state, t[1])?;
-            roundtrip(&tenant, Command::Flush).map(ok_line)
+            roundtrip(&tenant, Command::Flush { conn: client.id }).map(ok_line)
         }),
         "STATS" => with_args(&tokens, 2, |t| {
             let tenant = known_tenant(state, t[1])?;
@@ -437,8 +511,9 @@ fn known_tenant(state: &Arc<ServerState>, name: &str) -> Result<Arc<Tenant>, Str
         .ok_or_else(|| format!("unknown tenant {name}"))
 }
 
-/// Acquires a point-in-time snapshot of `view` for `tenant` — no ingest round-trip;
-/// this is the lock-free read path.
+/// Acquires a point-in-time snapshot of `view` for `tenant` — no ingest round-trip.
+/// Acquire takes the snapshot store's read lock and one slot mutex for a pointer
+/// copy; reading the acquired snapshot takes no lock at all.
 fn acquire(
     state: &Arc<ServerState>,
     tenant: &str,
@@ -499,15 +574,14 @@ fn parse_value(token: &str) -> Value {
 /// when the request queue drains, the batch hits `batch_max`, or on explicit `FLUSH`.
 fn tenant_loop(rx: Receiver<Request>, shared: Arc<TenantShared>, config: ServerConfig) {
     let mut core = Core::Building(Catalog::new());
-    let mut pending: Vec<Update> = Vec::new();
-    let mut last_error: Option<String> = None;
+    let mut pending = Pending::default();
     loop {
         let request = match rx.try_recv() {
             Ok(request) => request,
             Err(TryRecvError::Empty) => {
                 // Queue drained: a quiescent point. Commit what we have so readers
                 // observe it, then block for the next request.
-                flush(&mut core, &mut pending, &mut last_error);
+                flush(&mut core, &mut pending);
                 match rx.recv() {
                     Ok(request) => request,
                     Err(_) => break,
@@ -516,30 +590,22 @@ fn tenant_loop(rx: Receiver<Request>, shared: Arc<TenantShared>, config: ServerC
             Err(TryRecvError::Disconnected) => break,
         };
         let stop = matches!(request.command, Command::Stop);
-        let reply = handle_command(
-            request.command,
-            &mut core,
-            &mut pending,
-            &mut last_error,
-            &shared,
-            &config,
-        );
+        let reply = handle_command(request.command, &mut core, &mut pending, &shared, &config);
         let _ = request.reply.send(reply);
-        if pending.len() >= config.batch_max {
-            flush(&mut core, &mut pending, &mut last_error);
+        if pending.updates.len() >= config.batch_max {
+            flush(&mut core, &mut pending);
         }
         if stop {
             break;
         }
     }
-    flush(&mut core, &mut pending, &mut last_error);
+    flush(&mut core, &mut pending);
 }
 
 fn handle_command(
     command: Command,
     core: &mut Core,
-    pending: &mut Vec<Update>,
-    last_error: &mut Option<String>,
+    pending: &mut Pending,
     shared: &TenantShared,
     config: &ServerConfig,
 ) -> Result<String, String> {
@@ -558,7 +624,7 @@ fn handle_command(
         },
         Command::CreateView { name, sql } => {
             let ring = ensure_serving(core, shared, config);
-            flush_ring(ring, pending, last_error);
+            flush_ring(ring, pending);
             let id = ring
                 .create_view(&name, ViewDef::Sql(&sql))
                 .map_err(|e| e.to_string())?;
@@ -566,14 +632,14 @@ fn handle_command(
         }
         Command::DropView { name } => {
             let ring = serving_ring(core)?;
-            flush_ring(ring, pending, last_error);
+            flush_ring(ring, pending);
             let id = ring
                 .view_id(&name)
                 .ok_or_else(|| format!("unknown view {name}"))?;
             ring.drop_view(id).map_err(|e| e.to_string())?;
             Ok(format!("dropped {name}"))
         }
-        Command::Ingest { update } => {
+        Command::Ingest { update, conn } => {
             let ring = ensure_serving(core, shared, config);
             match ring.catalog().columns(&update.relation) {
                 None => Err(format!("unknown relation {}", update.relation)),
@@ -584,18 +650,26 @@ fn handle_command(
                     update.values.len()
                 )),
                 Some(_) => {
-                    pending.push(update);
+                    pending.updates.push(update);
+                    pending.conns.push(conn);
                     Ok("queued".to_string())
                 }
             }
         }
-        Command::Flush => {
+        Command::Flush { conn } => {
             let ring = serving_ring(core)?;
-            flush_ring(ring, pending, last_error);
-            match last_error.take() {
-                Some(error) => Err(error),
+            flush_ring(ring, pending);
+            match pending.rejected.remove(&conn) {
+                Some(Rejected { first, count }) => Err(format!(
+                    "{count} queued update(s) rejected since the last FLUSH; first: {first}"
+                )),
                 None => Ok(format!("ingested={}", ring.updates_ingested())),
             }
+        }
+        Command::Disconnect { conn } => {
+            flush(core, pending);
+            pending.rejected.remove(&conn);
+            Ok("forgotten".to_string())
         }
         Command::Stats => match core {
             Core::Building(catalog) => Ok(format!(
@@ -606,7 +680,7 @@ fn handle_command(
                 "views={} ingested={} pending={} publish_ns={} snapshot_entries={}",
                 ring.len(),
                 ring.updates_ingested(),
-                pending.len(),
+                pending.updates.len(),
                 ring.snapshot_publish_ns(),
                 ring.snapshot_footprint()
             )),
@@ -642,20 +716,166 @@ fn serving_ring(core: &mut Core) -> Result<&mut Ring, String> {
     }
 }
 
-fn flush(core: &mut Core, pending: &mut Vec<Update>, last_error: &mut Option<String>) {
+fn flush(core: &mut Core, pending: &mut Pending) {
     if let Core::Serving(ring) = core {
-        flush_ring(ring, pending, last_error);
+        flush_ring(ring, pending);
     }
 }
 
-/// Commits the pending batch. Ingest is failure-atomic: on error the whole batch is
-/// rolled back by the ring; the error is surfaced on the next `FLUSH`.
-fn flush_ring(ring: &mut Ring, pending: &mut Vec<Update>, last_error: &mut Option<String>) {
-    if pending.is_empty() {
+/// Commits the pending batch. Ingest is batch-atomic, so a rejected batch landed
+/// nowhere; its updates are then retried one at a time (each a batch of one with the
+/// same contract), so only the updates that fail on their own are rejected, each
+/// charged to the connection that queued it.
+fn flush_ring(ring: &mut Ring, pending: &mut Pending) {
+    if pending.updates.is_empty() {
         return;
     }
-    if let Err(error) = ring.apply_batch(pending) {
-        *last_error = Some(error.to_string());
+    if ring.apply_batch(&pending.updates).is_err() {
+        for (update, conn) in pending.updates.iter().zip(&pending.conns) {
+            if let Err(error) = ring.apply(update) {
+                pending
+                    .rejected
+                    .entry(*conn)
+                    .and_modify(|r| r.count += 1)
+                    .or_insert_with(|| Rejected {
+                        first: error.to_string(),
+                        count: 1,
+                    });
+            }
+        }
     }
-    pending.clear();
+    pending.updates.clear();
+    pending.conns.clear();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Queues `command` for a tenant loop without waiting; returns the reply receiver.
+    fn send(tx: &Sender<Request>, command: Command) -> Receiver<Result<String, String>> {
+        let (reply, rx) = mpsc::channel();
+        tx.send(Request { command, reply }).unwrap();
+        rx
+    }
+
+    fn sale(cust: i64, cents: Value) -> Update {
+        Update::insert("Sales", vec![Value::int(cust), cents])
+    }
+
+    /// Declares `Sales(cust, cents)` and a revenue view that sums `cents`, so a string
+    /// in `cents` passes the catalog check but fails in the trigger.
+    fn setup_commands() -> [Command; 2] {
+        [
+            Command::Declare {
+                relation: "Sales".to_string(),
+                columns: vec!["cust".to_string(), "cents".to_string()],
+            },
+            Command::CreateView {
+                name: "revenue".to_string(),
+                sql: "SELECT cust, SUM(cents) AS r FROM Sales GROUP BY cust".to_string(),
+            },
+        ]
+    }
+
+    /// Cross-client fate-sharing: client A queues `Sales 1 100` and `Sales 2 200`,
+    /// client B queues `Sales 3 "oops"`, all in one tenant batch (every request is
+    /// queued before the ingest thread starts, so they cannot be split by a quiescent
+    /// point). A's rows land and A's `FLUSH` is `OK`; only B's `FLUSH` fails.
+    #[test]
+    fn one_clients_bad_update_does_not_fail_another_clients_good_ones() {
+        let (a, b) = (1, 2);
+        let (tx, rx) = mpsc::channel();
+        for command in setup_commands() {
+            send(&tx, command);
+        }
+        let acks = [
+            send(
+                &tx,
+                Command::Ingest {
+                    update: sale(1, Value::int(100)),
+                    conn: a,
+                },
+            ),
+            send(
+                &tx,
+                Command::Ingest {
+                    update: sale(2, Value::int(200)),
+                    conn: a,
+                },
+            ),
+            send(
+                &tx,
+                Command::Ingest {
+                    update: sale(3, Value::str("oops")),
+                    conn: b,
+                },
+            ),
+        ];
+        let flush_a = send(&tx, Command::Flush { conn: a });
+        let flush_b = send(&tx, Command::Flush { conn: b });
+        let flush_b_again = send(&tx, Command::Flush { conn: b });
+        drop(tx);
+        let shared = Arc::new(TenantShared {
+            reader: Mutex::new(None),
+        });
+        let worker_shared = Arc::clone(&shared);
+        let worker =
+            std::thread::spawn(move || tenant_loop(rx, worker_shared, ServerConfig::default()));
+        worker.join().unwrap();
+
+        for ack in acks {
+            assert_eq!(ack.recv().unwrap(), Ok("queued".to_string()));
+        }
+        assert_eq!(flush_a.recv().unwrap(), Ok("ingested=2".to_string()));
+        let err = flush_b.recv().unwrap().unwrap_err();
+        assert!(
+            err.starts_with("1 queued update(s) rejected since the last FLUSH; first: "),
+            "{err}"
+        );
+        assert_eq!(flush_b_again.recv().unwrap(), Ok("ingested=2".to_string()));
+        let reader = shared.reader.lock().unwrap().clone().unwrap();
+        let revenue = reader.snapshot_named("revenue").unwrap();
+        assert_eq!(revenue.value(&[Value::int(1)]), Number::Int(100));
+        assert_eq!(revenue.value(&[Value::int(2)]), Number::Int(200));
+        assert_eq!(revenue.value(&[Value::int(3)]), Number::Int(0));
+    }
+
+    /// Error memory is one message plus a count per connection, dropped when that
+    /// connection flushes or closes.
+    #[test]
+    fn rejections_are_bounded_per_connection_and_forgotten_on_close() {
+        let (a, b) = (1, 2);
+        let shared = TenantShared {
+            reader: Mutex::new(None),
+        };
+        let config = ServerConfig::default();
+        let mut core = Core::Building(Catalog::new());
+        let mut pending = Pending::default();
+        let mut run = |command| handle_command(command, &mut core, &mut pending, &shared, &config);
+        for command in setup_commands() {
+            run(command).unwrap();
+        }
+        for i in 0..5 {
+            let update = sale(i, Value::str(format!("bad{i}")));
+            run(Command::Ingest { update, conn: b }).unwrap();
+        }
+        run(Command::Ingest {
+            update: sale(9, Value::int(1)),
+            conn: a,
+        })
+        .unwrap();
+        flush(&mut core, &mut pending);
+        assert_eq!(pending.rejected.len(), 1, "only B has rejections");
+        let rejected = &pending.rejected[&b];
+        assert_eq!(rejected.count, 5);
+        assert!(rejected.first.contains("non-numeric"), "{}", rejected.first);
+        let mut run = |command| handle_command(command, &mut core, &mut pending, &shared, &config);
+        run(Command::Disconnect { conn: b }).unwrap();
+        assert_eq!(
+            run(Command::Flush { conn: a }),
+            Ok("ingested=1".to_string())
+        );
+        assert!(pending.rejected.is_empty());
+    }
 }

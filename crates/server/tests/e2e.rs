@@ -240,6 +240,35 @@ fn concurrent_clients_share_a_tenant() {
     shutdown(addr, handle);
 }
 
+/// A rejected update is reported to the connection that queued it, and only to it:
+/// another client's `FLUSH` stays `OK` and its rows land; the offender's `FLUSH` gets
+/// the error once, then the record is cleared.
+#[test]
+fn rejections_reach_only_the_connection_that_caused_them() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut a = Client::connect(addr);
+    let mut b = Client::connect(addr);
+    a.send("DECLARE t Sales cust cents");
+    a.send("VIEW t revenue SELECT cust, SUM(cents) AS r FROM Sales GROUP BY cust");
+    assert_eq!(a.send("INSERT t Sales 1 100"), "OK queued");
+    assert_eq!(a.send("INSERT t Sales 2 200"), "OK queued");
+    // Catalog-valid, so it is queued; the view's SUM rejects the string at commit.
+    assert_eq!(b.send("INSERT t Sales 3 \"oops\""), "OK queued");
+    assert_eq!(a.send("FLUSH t"), "OK ingested=2");
+    let reply = b.send("FLUSH t");
+    assert!(
+        reply.starts_with("ERR 1 queued update(s) rejected since the last FLUSH; first: "),
+        "{reply}"
+    );
+    assert_eq!(b.send("FLUSH t"), "OK ingested=2");
+    assert_eq!(a.send("GET t revenue 1"), "VALUE 100");
+    assert_eq!(a.send("GET t revenue 2"), "VALUE 200");
+    assert_eq!(a.send("GET t revenue 3"), "VALUE 0");
+
+    drop((a, b));
+    shutdown(addr, handle);
+}
+
 /// An idle client must not keep `SHUTDOWN` from ending the server: its handler sits
 /// in a blocking read until the server closes the socket.
 #[test]

@@ -90,7 +90,7 @@ fn main() {
     }
 
     // 5. Keep streaming: every live view stays fresh, new and old alike.
-    ring.apply_all(&[sale(1, 100, 5), refund(3, 500, 1)])
+    ring.apply_batch(&[sale(1, 100, 5), refund(3, 500, 1)])
         .expect("stream ingests");
     assert_eq!(
         ring.view(units).unwrap().value(&[Value::int(1)]).as_f64(),

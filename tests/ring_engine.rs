@@ -1,6 +1,7 @@
 //! Behavioral coverage of the [`dbring::Ring`] engine through the public facade: view
-//! lifecycle (create / late-create with backfill / drop), the one-ingest-path contract
-//! with per-relation routing, the dedicated catalog errors, and the read handles.
+//! lifecycle (create / late-create with backfill / drop), the one batch-atomic ingest
+//! contract with per-relation routing, the dedicated catalog errors, and the read
+//! handles.
 
 use dbring::{
     Catalog, Error, Number, Ring, RingBuilder, RuntimeError, StorageBackend, Update, Value, ViewDef,
@@ -49,7 +50,7 @@ fn sql_agca_and_parsed_view_defs_agree() {
     let via_query = ring
         .create_view("via_query", ViewDef::Query(parsed))
         .unwrap();
-    ring.apply_all(&[sale(1, 100, 2), sale(2, 50, 1), sale(1, 10, 3)])
+    ring.apply_batch(&[sale(1, 100, 2), sale(2, 50, 1), sale(1, 10, 3)])
         .unwrap();
     let table = ring.view(via_sql).unwrap().table();
     assert_eq!(table, ring.view(via_agca).unwrap().table());
@@ -84,9 +85,12 @@ fn routed_ingest_matches_independent_views_exactly() {
             .iter()
             .map(|(name, text)| ring.create_view(*name, ViewDef::Agca(text)).unwrap())
             .collect();
-        // Half per update, half batched: both ingest paths route identically.
+        // Half per update, half batched: both ingest paths route identically, and a
+        // single-tuple `Ring::apply` (a batch of one) does per-tuple work exactly.
         let (first, second) = updates.split_at(updates.len() / 2);
-        ring.apply_all(first).unwrap();
+        for update in first {
+            ring.apply(update).unwrap();
+        }
         for chunk in second.chunks(8) {
             ring.apply_batch(chunk).unwrap();
         }
@@ -130,7 +134,7 @@ fn late_views_are_backfilled_and_stay_consistent() {
     )
     .unwrap();
     let prefix: Vec<Update> = (0..30).map(|i| sale(i % 4, 10 * (i % 5 + 1), 2)).collect();
-    ring.apply_all(&prefix).unwrap();
+    ring.apply_batch(&prefix).unwrap();
     // Nobody read Returns so far; the snapshot still has it.
     ring.apply(&ret(1, 500, 1)).unwrap();
 
@@ -253,7 +257,8 @@ fn view_handles_expose_programs_footprints_and_stats() {
             ViewDef::Sql("SELECT cust, SUM(cents * qty) AS r FROM Sales GROUP BY cust"),
         )
         .unwrap();
-    ring.apply_all(&[sale(1, 100, 1), sale(2, 200, 2)]).unwrap();
+    ring.apply_batch(&[sale(1, 100, 1), sale(2, 200, 2)])
+        .unwrap();
     let view = ring.view(id).unwrap();
     assert_eq!(view.name(), "revenue");
     assert_eq!(view.engine_name(), "recursive-ivm@ordered");
@@ -298,12 +303,11 @@ fn from_database_seeds_catalog_and_snapshot() {
     assert_eq!(snapshot.columns("Sales"), ring.catalog().columns("Sales"));
 }
 
-/// `apply_all` keeps its prevalidation contract under staged ingest: catalog errors
-/// anywhere in the sequence land nothing, value errors keep `AtUpdate { index }`, and
-/// the failing update itself now lands nowhere — tables *and* counters, even at
-/// sibling views that would have accepted it.
+/// One contract for every write: a batch with a catalog error or a value error
+/// anywhere lands nowhere — tables *and* counters, even at sibling views that had
+/// already staged it, and even for the batch's good updates.
 #[test]
-fn apply_all_prevalidates_and_keeps_indexed_errors() {
+fn apply_batch_lands_nothing_on_any_error() {
     let mut ring = RingBuilder::new(shop_catalog()).build();
     // `orders` ignores the payload columns, so it accepts tuples that `revenue`
     // (which multiplies them) chokes on. Created first, it sits at the lower slot
@@ -317,31 +321,28 @@ fn apply_all_prevalidates_and_keeps_indexed_errors() {
             ViewDef::Agca("q[c] := Sum(Sales(c, p, n) * p * n)"),
         )
         .unwrap();
+    ring.apply(&sale(1, 10, 2)).unwrap();
 
-    // An undeclared relation anywhere in the sequence: prevalidation fails the whole
-    // call before anything is applied.
+    // An undeclared relation anywhere in the batch fails the whole call before
+    // anything is applied.
     let bad_catalog = [
         sale(1, 10, 1),
         Update::insert("Ghost", vec![Value::int(1)]),
         sale(2, 20, 1),
     ];
-    let err = ring.apply_all(&bad_catalog).unwrap_err();
+    let err = ring.apply_batch(&bad_catalog).unwrap_err();
     assert!(matches!(err, Error::UnknownRelation { .. }));
-    assert!(ring.view(orders).unwrap().table().is_empty());
-    assert_eq!(ring.updates_ingested(), 0);
-    assert_eq!(ring.view(orders).unwrap().stats().updates, 0);
 
-    // A wrong arity against a declared relation is also caught up front.
+    // So does a wrong arity against a declared relation.
     let bad_arity = [sale(1, 10, 1), Update::insert("Sales", vec![Value::int(1)])];
     assert!(matches!(
-        ring.apply_all(&bad_arity).unwrap_err(),
+        ring.apply_batch(&bad_arity).unwrap_err(),
         Error::Runtime(RuntimeError::ArityMismatch { .. })
     ));
-    assert_eq!(ring.updates_ingested(), 0);
 
-    // A value error past prevalidation stops at the failing update with its index:
-    // update 0 is applied everywhere, update 1 lands nowhere — including at `orders`,
-    // which had already staged it successfully before `revenue` failed.
+    // A value error passes the catalog check and fails while staging: the good
+    // updates around it land nowhere either — including at `orders`, which had
+    // already staged the whole batch successfully before `revenue` failed.
     let bad_value = [
         sale(1, 10, 2),
         Update::insert(
@@ -350,21 +351,25 @@ fn apply_all_prevalidates_and_keeps_indexed_errors() {
         ),
         sale(3, 30, 1),
     ];
-    let err = ring.apply_all(&bad_value).unwrap_err();
-    match err {
-        Error::Runtime(RuntimeError::AtUpdate { index, .. }) => assert_eq!(index, 1),
-        other => panic!("expected AtUpdate, got {other:?}"),
-    }
-    assert_eq!(ring.updates_ingested(), 1, "only update 0 landed");
+    let err = ring.apply_batch(&bad_value).unwrap_err();
+    assert!(matches!(
+        err,
+        Error::Runtime(RuntimeError::NonNumericValue(_))
+    ));
+
+    assert_eq!(ring.updates_ingested(), 1, "only the first apply landed");
+    assert_eq!(ring.base_snapshot().unwrap().total_support(), 1);
     assert_eq!(
         ring.view(revenue).unwrap().value(&[Value::int(1)]),
         Number::Int(20)
     );
-    assert_eq!(
-        ring.view(orders).unwrap().value(&[Value::int(2)]),
-        Number::Int(0),
-        "the failing update rolled back at the view that accepted it"
-    );
+    for cust in [2, 3] {
+        assert_eq!(
+            ring.view(orders).unwrap().value(&[Value::int(cust)]),
+            Number::Int(0),
+            "the rejected batch rolled back at the view that accepted it"
+        );
+    }
     assert_eq!(ring.view(orders).unwrap().stats().updates, 1);
     assert_eq!(ring.view(revenue).unwrap().stats().updates, 1);
 }

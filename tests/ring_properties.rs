@@ -68,7 +68,7 @@ proptest! {
     ) {
         for backend in backends() {
             let mut ring = RingBuilder::new(catalog()).backend(backend).build();
-            ring.apply_all(&prefix).unwrap();
+            ring.apply_batch(&prefix).unwrap();
             let ids: Vec<ViewId> = VIEWS
                 .iter()
                 .map(|(name, text)| ring.create_view(*name, ViewDef::Agca(text)).unwrap())
@@ -85,11 +85,13 @@ proptest! {
                     backend
                 );
 
-                // Further maintenance keeps them in lockstep (half per-update, half
-                // batched, so both ingest paths run over the backfilled state).
+                // Further maintenance keeps them in lockstep (half one-update batches,
+                // half one batch, over the backfilled state).
                 let (head, tail) = suffix.split_at(suffix.len() / 2);
                 let mut fork = ring.clone();
-                fork.apply_all(head).unwrap();
+                for update in head {
+                    fork.apply(update).unwrap();
+                }
                 fork.apply_batch(tail).unwrap();
                 replayed.apply_all(head).unwrap();
                 replayed.apply_batch(tail).unwrap();
