@@ -7,12 +7,19 @@
 //! One writer owns the `Ring` and applies the update stream in batches; snapshots
 //! are published at each batch commit (the quiescent points). Reader threads hold a
 //! [`dbring::RingHandle`] and loop acquire-snapshot → point-lookup, so every sample pays the
-//! full serving path: epoch acquire + binary-search probe. Measured per point:
+//! full serving path: acquire by name + a point lookup (at most two binary
+//! searches: the recent run, then the base). Measured per point:
 //!
 //! * reader throughput (reads/s across all readers) and mean/p50/p95/p99 read latency,
 //! * writer throughput (ns per ingested update) with publication enabled,
 //! * snapshot publication cost (ns per update, and share of writer wall-clock),
 //! * bare snapshot-acquire latency (no lookup), demonstrating O(1) acquire.
+//!
+//! Points sweep the number of groups per view (customers: 100 / 10 000 / 100 000),
+//! the axis publication cost depends on: a commit publishes the changed groups
+//! into a recent run over a shared base, so 10× the groups should raise publish
+//! ns/upd by about √10 (the amortized fold), not 10×. The JSON carries the host
+//! facts (cores, commit, date).
 //!
 //! Two consistency checks run alongside the measurement: a snapshot acquired before
 //! the writer starts must be bit-identical after the writer finishes (immutability),
@@ -20,14 +27,15 @@
 //! (publication never goes backwards).
 //!
 //! Run with: `cargo run --release -p dbring-bench --bin exp_serve`
-//! (add `-- --quick` for the CI smoke: hash backend only, fewer readers)
+//! (add `-- --quick` for the CI smoke: hash backend only, 100 and 10 000 groups,
+//! fewer readers)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use dbring::{Ring, RingBuilder, StorageBackend, Value, ViewDef};
-use dbring_bench::{fmt_ns, header, write_bench_json, BenchRow};
+use dbring_bench::{fmt_ns, header, write_bench_json_with_host, BenchRow, HostFacts};
 use dbring_workloads::{sales_dashboard, MultiViewWorkload, WorkloadConfig};
 
 const BATCH: usize = 256;
@@ -35,6 +43,7 @@ const READ_VIEW: &str = "revenue_by_cust";
 
 struct ServePoint {
     backend: StorageBackend,
+    groups: usize,
     readers: usize,
     reads_per_sec: f64,
     read_mean_ns: f64,
@@ -91,6 +100,9 @@ fn serve_point(
         let stop = Arc::clone(&stop);
         let stream = workload.stream.clone();
         std::thread::spawn(move || {
+            // Only the commits' publication counts: `reader()` above already paid
+            // the one-off full publication of every view.
+            let publish_before = ring.snapshot_publish_ns();
             let start = Instant::now();
             let mut updates = 0u64;
             'outer: loop {
@@ -103,7 +115,11 @@ fn serve_point(
                 }
             }
             let elapsed = start.elapsed().as_nanos() as u64;
-            (updates, elapsed, ring.snapshot_publish_ns())
+            (
+                updates,
+                elapsed,
+                ring.snapshot_publish_ns() - publish_before,
+            )
         })
     };
 
@@ -165,6 +181,7 @@ fn serve_point(
     samples.sort_unstable();
     ServePoint {
         backend,
+        groups: domain,
         readers,
         reads_per_sec: total_reads as f64 / (run_ms as f64 / 1e3),
         read_mean_ns: mean,
@@ -179,7 +196,12 @@ fn serve_point(
 }
 
 fn rows_for(p: &ServePoint) -> Vec<BenchRow> {
-    let prefix = format!("serve/{}/readers{}", p.backend.name(), p.readers);
+    let prefix = format!(
+        "serve/{}/groups{}/readers{}",
+        p.backend.name(),
+        p.groups,
+        p.readers
+    );
     let row = |metric: &str, ns: f64, ops: f64| BenchRow {
         series: format!("{prefix}/{metric}"),
         batch_size: BATCH,
@@ -201,45 +223,44 @@ fn rows_for(p: &ServePoint) -> Vec<BenchRow> {
     ]
 }
 
+/// The dashboard workload with `groups` customers: enough initial orders that
+/// nearly every customer's group exists before serving starts.
+fn workload_for(groups: usize, quick: bool) -> MultiViewWorkload {
+    sales_dashboard(WorkloadConfig {
+        seed: 42,
+        initial_size: (3 * groups).max(if quick { 400 } else { 4_000 }),
+        stream_length: if quick { 1_600 } else { 24_000 },
+        domain_size: groups,
+        delete_fraction: 0.2,
+    })
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let config = if quick {
-        WorkloadConfig {
-            seed: 42,
-            initial_size: 400,
-            stream_length: 1_600,
-            domain_size: 50,
-            delete_fraction: 0.2,
-        }
-    } else {
-        WorkloadConfig {
-            seed: 42,
-            initial_size: 4_000,
-            stream_length: 24_000,
-            domain_size: 100,
-            delete_fraction: 0.2,
-        }
-    };
-    let domain = config.domain_size;
     let run_ms: u64 = if quick { 200 } else { 1_500 };
+    let group_counts: &[usize] = if quick {
+        &[100, 10_000]
+    } else {
+        &[100, 10_000, 100_000]
+    };
     let reader_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
     let backends: &[StorageBackend] = if quick {
         &[StorageBackend::Hash]
     } else {
         &[StorageBackend::Hash, StorageBackend::Ordered]
     };
-    let workload = sales_dashboard(config);
+    let host = HostFacts::detect();
 
     header(&format!(
-        "E16 — serving reads under sustained ingest on {} ({} views, |initial| = {}, \
-         |stream| = {} cycled; 1 writer at batch {}, {} ms per point; reads hit {})",
-        workload.name,
-        workload.views.len(),
-        workload.initial.len(),
-        workload.stream.len(),
+        "E16 — serving reads under sustained ingest on the sales dashboard (6 views, \
+         initial load 3 orders per customer, stream of {} cycled; 1 writer at batch {}, \
+         {} ms per point; reads hit {}; {} cores, commit {})",
+        if quick { 1_600 } else { 24_000 },
         BATCH,
         run_ms,
         READ_VIEW,
+        host.cores,
+        host.commit,
     ));
     println!(
         "each read = snapshot acquire + point lookup; held-snapshot immutability and \
@@ -249,8 +270,9 @@ fn main() {
     let mut rows = Vec::new();
     for &backend in backends {
         println!(
-            "\n[{}] {:>7} | {:>11} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>9} | {:>7}",
+            "\n[{}] {:>7} | {:>7} | {:>11} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>9} | {:>9} | {:>7}",
             backend.name(),
+            "groups",
             "readers",
             "reads/s",
             "mean",
@@ -259,28 +281,34 @@ fn main() {
             "p99",
             "acquire",
             "write/upd",
+            "pub/upd",
             "publish"
         );
-        for &readers in reader_counts {
-            let p = serve_point(backend, &workload, readers, domain, run_ms);
-            println!(
-                "[{}] {:>7} | {:>11.0} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>9} | {:>6.1}%",
-                backend.name(),
-                p.readers,
-                p.reads_per_sec,
-                fmt_ns(p.read_mean_ns),
-                fmt_ns(p.read_p50_ns),
-                fmt_ns(p.read_p95_ns),
-                fmt_ns(p.read_p99_ns),
-                fmt_ns(p.acquire_mean_ns),
-                fmt_ns(p.write_ns_per_update),
-                p.publish_share * 100.0,
-            );
-            rows.extend(rows_for(&p));
+        for &groups in group_counts {
+            let workload = workload_for(groups, quick);
+            for &readers in reader_counts {
+                let p = serve_point(backend, &workload, readers, groups, run_ms);
+                println!(
+                    "[{}] {:>7} | {:>7} | {:>11.0} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>9} | {:>9} | {:>6.1}%",
+                    backend.name(),
+                    p.groups,
+                    p.readers,
+                    p.reads_per_sec,
+                    fmt_ns(p.read_mean_ns),
+                    fmt_ns(p.read_p50_ns),
+                    fmt_ns(p.read_p95_ns),
+                    fmt_ns(p.read_p99_ns),
+                    fmt_ns(p.acquire_mean_ns),
+                    fmt_ns(p.write_ns_per_update),
+                    fmt_ns(p.publish_ns_per_update),
+                    p.publish_share * 100.0,
+                );
+                rows.extend(rows_for(&p));
+            }
         }
     }
 
-    match write_bench_json("exp_serve", &rows) {
+    match write_bench_json_with_host("exp_serve", &host, &rows) {
         Ok(path) => println!("\nwrote {} rows to {path}", rows.len()),
         Err(error) => println!("\nfailed to write bench json: {error}"),
     }

@@ -180,6 +180,84 @@ pub fn write_bench_json(exp: &str, rows: &[BenchRow]) -> std::io::Result<String>
     Ok(path)
 }
 
+/// Facts about the machine and tree a benchmark ran on, recorded beside its rows so
+/// figures from different hosts or commits are never compared blind.
+#[derive(Clone, Debug)]
+pub struct HostFacts {
+    /// Cores available to this process.
+    pub cores: usize,
+    /// `git rev-parse HEAD`, suffixed `+dirty` when tracked files differ from it
+    /// (`unknown` outside a git checkout).
+    pub commit: String,
+    /// UTC date of the run, `YYYY-MM-DD`.
+    pub date: String,
+}
+
+impl HostFacts {
+    /// Reads the facts of the current process, checkout and clock.
+    pub fn detect() -> Self {
+        let git = |args: &[&str]| {
+            std::process::Command::new("git")
+                .args(args)
+                .output()
+                .ok()
+                .filter(|out| out.status.success())
+                .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        };
+        let commit = match git(&["rev-parse", "HEAD"]) {
+            Some(head) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+                Some(status) if !status.is_empty() => format!("{head}+dirty"),
+                _ => head,
+            },
+            None => "unknown".to_string(),
+        };
+        let secs = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs());
+        HostFacts {
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            commit,
+            date: civil_date(secs / 86_400),
+        }
+    }
+}
+
+/// The proleptic-Gregorian `YYYY-MM-DD` of a day count since 1970-01-01
+/// (Howard Hinnant's `civil_from_days`).
+fn civil_date(days: u64) -> String {
+    let z = days as i64 + 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097);
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = yoe + era * 400 + i64::from(month <= 2);
+    format!("{year:04}-{month:02}-{day:02}")
+}
+
+/// Writes bench rows with the host facts to `BENCH_<exp>.json` in the current
+/// directory, as `{"host": {"cores", "commit", "date"}, "rows": [...]}`, and
+/// returns the path.
+pub fn write_bench_json_with_host(
+    exp: &str,
+    host: &HostFacts,
+    rows: &[BenchRow],
+) -> std::io::Result<String> {
+    let path = format!("BENCH_{exp}.json");
+    let rows = bench_rows_json(rows).replace('\n', "\n  ");
+    let json = format!(
+        "{{\n  \"host\": {{\"cores\": {}, \"commit\": {}, \"date\": {}}},\n  \"rows\": {}\n}}\n",
+        host.cores,
+        json_str(&host.commit),
+        json_str(&host.date),
+        rows,
+    );
+    std::fs::write(&path, json)?;
+    Ok(path)
+}
+
 /// Renders sweep results as pretty-printed JSON, in the shape serde_json would produce
 /// for `Vec<(String, Vec<SweepPoint>)>`: an array of `[name, [point objects]]` pairs.
 /// Hand-rolled because the offline `serde` stand-in (see `compat/README.md`) cannot
@@ -818,6 +896,13 @@ mod tests {
         assert!(point.speedup_vs_classic() > 0.0);
         let ordered = intern_point::<dbring::OrderedViewStorage>(&workload, 32);
         assert_eq!(ordered.batch_ops, point.batch_ops);
+    }
+
+    #[test]
+    fn civil_dates_count_from_the_unix_epoch() {
+        assert_eq!(civil_date(0), "1970-01-01");
+        assert_eq!(civil_date(11_016), "2000-02-29");
+        assert_eq!(civil_date(20_744), "2026-10-18");
     }
 
     #[test]

@@ -114,8 +114,8 @@ pub use dbring_runtime::fault;
 pub use dbring_runtime::{
     boxed_engine, try_boxed_engine, ClassicalIvm, EngineRegistry, ExecStats, Executor, FaultOp,
     FaultPlan, FaultStorage, HashViewStorage, MaintenanceStrategy, NaiveReeval, OrderedViewStorage,
-    ParallelConfig, RuntimeError, SnapshotStore, StagedBatch, StorageBackend, StorageFootprint,
-    ViewEngine, ViewSnapshot, ViewStorage,
+    OutputDelta, ParallelConfig, RuntimeError, SnapshotStore, StagedBatch, StorageBackend,
+    StorageFootprint, ViewEngine, ViewSnapshot, ViewStorage,
 };
 
 mod ring;

@@ -465,7 +465,7 @@ impl Ring {
         debug_assert_eq!(registered, slot);
         if self.serving() {
             // Serve the backfilled table immediately, not at the next commit.
-            self.publish_slots(&[slot]);
+            self.publish_full(&[slot]);
         }
         self.names.insert(name, id);
         Ok(id)
@@ -620,7 +620,7 @@ impl Ring {
         if self.serving() {
             // Republication clears the store-side quarantine flag along with the
             // registry-side one: the repaired view serves again immediately.
-            self.publish_slots(&[id.0]);
+            self.publish_full(&[id.0]);
         }
         // A rebuild replays from the snapshot through a fresh engine; the ring-level
         // interner is untouched, so previously returned ids stay valid.
@@ -662,9 +662,12 @@ impl Ring {
     /// thread and hand [`RingHandle`] clones to any number of reader threads.
     ///
     /// The first read-side request (this method or [`Ring::snapshot`]) switches the
-    /// ring into *serving* mode: every live view is published once, and from then on
-    /// each successful [`Ring::apply_batch`] commit republishes the views it touched at
-    /// that quiescent point. Rings that never serve snapshots pay one untaken branch per commit.
+    /// ring into *serving* mode: every live view is published once in full, and from
+    /// then on each successful [`Ring::apply_batch`] commit republishes the views it
+    /// touched at that quiescent point, in proportion to what the batch changed — the
+    /// changed output entries are merged into the predecessor snapshot's recent run
+    /// over a shared base (see [`ViewSnapshot::merged`]). Rings that never serve
+    /// snapshots pay one untaken branch per commit.
     pub fn reader(&self) -> RingHandle {
         self.enable_serving();
         RingHandle {
@@ -673,8 +676,9 @@ impl Ring {
     }
 
     /// Acquires the current published snapshot of one view — O(1), independent of
-    /// view size (an `Arc` clone of the table published at the last quiescent
-    /// point). Same refusals as [`Ring::view`]: unknown/dropped ids are
+    /// view size (an `Arc` clone of the image published at the last quiescent
+    /// point, read with at most two binary searches per lookup). Same refusals as
+    /// [`Ring::view`]: unknown/dropped ids are
     /// [`Error::UnknownView`](crate::Error::UnknownView), quarantined views are
     /// [`Error::ViewPoisoned`](crate::Error::ViewPoisoned) *at acquire time* — a
     /// snapshot handed out before the failure stays valid and consistent.
@@ -725,16 +729,18 @@ impl Ring {
             return;
         }
         let slots: Vec<u32> = (0..self.infos.len() as u32).collect();
-        self.publish_slots(&slots);
+        self.publish_full(&slots);
         self.sync_quarantine();
     }
 
-    /// Publishes fresh snapshots for the given slots (skipping dropped and
-    /// quarantined ones) under one publication epoch, accumulating the spent time
-    /// into [`Ring::snapshot_publish_ns`]. The per-slot cost is one output-table
-    /// export — O(view output size) — paid by the *writer* at the commit boundary;
-    /// readers never copy.
-    fn publish_slots(&self, slots: &[u32]) {
+    /// Publishes a snapshot built by `build(slot, engine, name, epoch)` for each of
+    /// the given slots (skipping dropped and quarantined ones) under one publication
+    /// epoch, accumulating the spent time into [`Ring::snapshot_publish_ns`].
+    fn publish_slots(
+        &self,
+        slots: &[u32],
+        build: impl Fn(u32, &dyn ViewEngine, &str, u64) -> ViewSnapshot,
+    ) {
         if slots.is_empty() {
             return;
         }
@@ -750,14 +756,42 @@ impl Ring {
             let Some(info) = self.infos[slot as usize].as_ref() else {
                 continue;
             };
-            let entries: Vec<(Vec<Value>, Number)> = engine.output_table().into_iter().collect();
-            self.snapshots.publish(
-                slot,
-                ViewSnapshot::new(Arc::from(info.name.as_str()), epoch, self.ingested, entries),
-            );
+            self.snapshots
+                .publish(slot, build(slot, engine, &info.name, epoch));
         }
         self.publish_ns
             .fetch_add(started.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
+    }
+
+    /// Publishes the given slots from a full output-table export — O(view output
+    /// size). Only for slots with no current predecessor to merge into: serving just
+    /// switched on, or the view was created, repaired or re-initialized.
+    fn publish_full(&self, slots: &[u32]) {
+        self.publish_slots(slots, |_, engine, name, epoch| {
+            let entries: Vec<(Vec<Value>, Number)> = engine.output_table().into_iter().collect();
+            ViewSnapshot::new(Arc::from(name), epoch, self.ingested, entries)
+        });
+    }
+
+    /// The commit path's publication: each given slot's predecessor snapshot merged
+    /// with the output entries the committed batch wrote (its
+    /// [`ViewEngine::output_delta`]) — O(Δ log Δ) plus the amortized fold of the
+    /// recent run into the base, independent of the view's size.
+    fn publish_commit(&self, slots: &[u32]) {
+        self.publish_slots(slots, |slot, engine, _, epoch| {
+            let SnapshotAccess::Published(predecessor) = self.snapshots.acquire(slot) else {
+                unreachable!("a serving ring keeps every live, healthy view published");
+            };
+            let delta = engine.output_delta();
+            let merged = predecessor.merged(epoch, self.ingested, &delta);
+            debug_assert!(
+                delta
+                    .iter()
+                    .all(|(key, _)| merged.value(key) == engine.output_value(key)),
+                "the merged snapshot disagrees with the engine on a changed key"
+            );
+            merged
+        });
     }
 
     /// Mirrors the registry's quarantine flags into the publication store, so
@@ -875,15 +909,15 @@ impl Ring {
         self.ingested += batch.total_weight();
         if self.serving() {
             // The batch committed everywhere — a quiescent point. Republish exactly
-            // the views that read a touched relation; snapshots of the others are
-            // still current by construction.
+            // the views that read a touched relation, each from the changes it just
+            // committed; snapshots of the others are still current by construction.
             let mut touched: Vec<u32> = Vec::new();
             for group in batch.groups() {
                 touched.extend_from_slice(self.registry.readers_of(group.relation()));
             }
             touched.sort_unstable();
             touched.dedup();
-            self.publish_slots(&touched);
+            self.publish_commit(&touched);
         }
         Ok(())
     }
@@ -904,7 +938,7 @@ impl Ring {
         })?;
         engine.initialize_from(db)?;
         if self.serving() {
-            self.publish_slots(&[id.0]);
+            self.publish_full(&[id.0]);
         }
         Ok(())
     }
@@ -1215,6 +1249,41 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec!["revenue", "orders", "refunds"]
         );
+    }
+
+    #[test]
+    fn a_recreated_name_resolves_to_the_new_slot_in_clones_too() {
+        const REVENUE: &str = "SELECT cust, SUM(cents * qty) AS r FROM Sales GROUP BY cust";
+        let mut ring = RingBuilder::new(sales_catalog()).build();
+        let first = ring.create_view("revenue", ViewDef::Sql(REVENUE)).unwrap();
+        let orders = ring
+            .create_view(
+                "orders",
+                ViewDef::Sql("SELECT cust, SUM(1) AS n FROM Sales GROUP BY cust"),
+            )
+            .unwrap();
+        let reader = ring.reader();
+        ring.apply(&sale(1, 100, 2)).unwrap();
+        ring.drop_view(first).unwrap();
+        assert_eq!(reader.view_id("revenue"), None);
+
+        let second = ring.create_view("revenue", ViewDef::Sql(REVENUE)).unwrap();
+        assert_ne!(first, second);
+        assert_eq!(reader.view_id("revenue"), Some(second));
+        ring.apply(&sale(1, 10, 1)).unwrap();
+        let table = reader.snapshot_named("revenue").unwrap().table();
+        assert_eq!(table[&vec![Value::int(1)]], Number::Int(210));
+
+        // The clone mirrors the tombstone, so ids and names line up with the original.
+        let clone = ring.clone();
+        let clone_reader = clone.reader();
+        assert_eq!(clone_reader.view_id("revenue"), Some(second));
+        assert_eq!(clone_reader.view_id("orders"), Some(orders));
+        assert!(matches!(
+            clone_reader.snapshot(first),
+            Err(Error::UnknownView { .. })
+        ));
+        assert_eq!(clone.snapshot_named("revenue").unwrap().table(), table);
     }
 
     #[test]

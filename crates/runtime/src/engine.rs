@@ -34,6 +34,7 @@ use dbring_compiler::{Diagnostic, LowerError, TriggerProgram};
 use dbring_relations::{Database, DeltaBatch, Value};
 
 use crate::executor::{ExecStats, Executor, RuntimeError, StagedBatch};
+use crate::snapshot::OutputDelta;
 use crate::storage::{
     HashViewStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
 };
@@ -72,8 +73,14 @@ pub trait ViewEngine: std::fmt::Debug + Send {
     /// the engine that produced it.
     fn stage_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<StagedBatch, RuntimeError>;
 
-    /// Makes a staged batch permanent by releasing its undo log. Cannot fail.
+    /// Makes a staged batch permanent. Cannot fail.
     fn commit_staged(&mut self, staged: StagedBatch);
+
+    /// The output entries the most recently committed staged batch wrote, each key
+    /// once and ascending, with the value it holds now (zero if removed) — what a
+    /// host needs to publish the commit in proportion to the change
+    /// ([`ViewSnapshot::merged`](crate::ViewSnapshot::merged)). Empty after an abort.
+    fn output_delta(&self) -> OutputDelta;
 
     /// Rolls a staged batch back: tables and stats return bit-exactly to the
     /// pre-stage state.
@@ -143,6 +150,10 @@ impl<S: ViewStorage + Send + 'static> ViewEngine for Executor<S> {
 
     fn abort_staged(&mut self, staged: StagedBatch) {
         self.abort_staged(staged)
+    }
+
+    fn output_delta(&self) -> OutputDelta {
+        self.output_delta()
     }
 
     fn initialize_from(&mut self, db: &Database) -> Result<(), EvalError> {

@@ -50,6 +50,7 @@ use dbring_delta::Sign;
 
 use std::collections::HashMap;
 
+use crate::snapshot::OutputDelta;
 use crate::storage::{HashViewStorage, StorageFootprint, ViewStorage};
 
 /// Counters describing the work performed by the executor.
@@ -321,11 +322,12 @@ impl UndoLog {
 /// Staging *applies* the batch — later trigger groups must read the writes of earlier
 /// ones (the second-order `δR·δS` term of a multi-relation batch), so the writes cannot
 /// simply be deferred — while logging the pre-image of every touched entry.
-/// [`Executor::commit_staged`] makes the batch permanent by discarding the log;
+/// [`Executor::commit_staged`] makes the batch permanent by keeping the log only as
+/// the record of what the batch wrote ([`Executor::output_delta`]);
 /// [`Executor::abort_staged`] replays the log in reverse, leaving tables *and*
 /// [`ExecStats`] bit-identical to the pre-stage state. The memory cost of staging is
 /// this log: one `(map, key, value)` triple per write the batch performed
-/// ([`StagedBatch::logged_writes`]), released at commit.
+/// ([`StagedBatch::logged_writes`]), held until the next staging reuses it.
 ///
 /// A token must be returned — committed or aborted — to the engine that produced it;
 /// the dispatch layer ([`EngineRegistry`](crate::registry::EngineRegistry)) keeps
@@ -367,8 +369,10 @@ pub struct Executor<S: ViewStorage = HashViewStorage> {
     dispatch: HashMap<String, [Option<usize>; 2]>,
     stats: ExecStats,
     scratch: Scratch,
-    /// Recycled undo-log allocation: staging takes it, commit/abort hand it back, so
-    /// steady-state staging allocates nothing for the log itself.
+    /// Recycled undo-log allocation: staging takes and clears it, abort hands it back
+    /// cleared and commit hands it back still holding the batch's writes (read by
+    /// [`Executor::output_delta`]), so steady-state staging allocates nothing for the
+    /// log itself.
     undo_pool: UndoLog,
 }
 
@@ -642,6 +646,7 @@ impl<S: ViewStorage> Executor<S> {
     pub fn stage_batch(&mut self, batch: &DeltaBatch) -> Result<StagedBatch, RuntimeError> {
         let stats_before = self.stats;
         let mut undo = std::mem::take(&mut self.undo_pool);
+        undo.clear();
         match self.apply_batch_logged(batch, &mut undo) {
             Ok(()) => Ok(StagedBatch { undo, stats_before }),
             Err(e) => {
@@ -654,10 +659,41 @@ impl<S: ViewStorage> Executor<S> {
     }
 
     /// Makes a staged batch permanent. The writes already landed while staging, so this
-    /// only releases the undo log (its allocation is recycled for the next staging) —
-    /// it cannot fail.
+    /// only keeps the undo log for [`output_delta`](Executor::output_delta) until the
+    /// next staging clears it and reuses its allocation — it cannot fail.
     pub fn commit_staged(&mut self, staged: StagedBatch) {
-        self.recycle(staged.undo);
+        self.undo_pool = staged.undo;
+    }
+
+    /// The output entries the most recently committed staged batch wrote, read off
+    /// its undo log: each written key once, ascending, with the value it holds now
+    /// (zero if the group was removed) and its pre-batch value, which the log already
+    /// holds. Empty after an abort. O(Δ log Δ) in the number of logged output writes,
+    /// and nothing is recorded beyond what staging logs anyway, so an engine nobody
+    /// publishes from pays nothing for it.
+    pub fn output_delta(&self) -> OutputDelta {
+        let log = &self.undo_pool;
+        let output = self.program.output;
+        let arity = self.output().key_arity();
+        // (key offset, pre-image) of every logged output write, in log order.
+        let mut writes: Vec<(usize, Number)> = Vec::new();
+        let mut start = 0;
+        for op in &log.ops {
+            if op.map as usize == output {
+                writes.push((start, op.pre));
+            }
+            start += op.key_len as usize;
+        }
+        let key = |start: usize| &log.keys[start..start + arity];
+        // Stable: of a key's duplicate ops (one per flush that wrote it), the first
+        // logged holds the true pre-batch value and stays first.
+        writes.sort_by(|a, b| key(a.0).cmp(key(b.0)));
+        writes.dedup_by(|later, first| key(later.0) == key(first.0));
+        let mut delta = OutputDelta::with_capacity(arity, writes.len());
+        for (start, before) in writes {
+            delta.push(key(start), before, self.output().get(key(start)));
+        }
+        delta
     }
 
     /// Rolls a staged batch back: every logged pre-image is restored in reverse order

@@ -80,7 +80,7 @@ pub use engine::{boxed_engine, try_boxed_engine, ViewEngine};
 pub use executor::{ExecStats, Executor, RuntimeError, StagedBatch};
 pub use fault::{FaultOp, FaultPlan, FaultStorage};
 pub use registry::{EngineRegistry, ParallelConfig};
-pub use snapshot::{SnapshotAccess, SnapshotStore, ViewSnapshot};
+pub use snapshot::{OutputDelta, SnapshotAccess, SnapshotStore, ViewSnapshot};
 pub use storage::{
     HashViewStorage, MapStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
 };

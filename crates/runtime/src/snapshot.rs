@@ -5,16 +5,31 @@
 //! vice versa). This module decouples the two with an epoch-published, RCU-style
 //! snapshot per view:
 //!
-//! * [`ViewSnapshot`] — an immutable, `Arc`-shared copy of one view's output table,
-//!   sorted by group key. Cloning is an `Arc` clone (O(1)); every read — point
-//!   lookups, prefix scans, full iteration — runs lock-free against the shared
-//!   immutable data, so any number of threads can read one snapshot concurrently
-//!   while the writer keeps ingesting.
+//! * [`ViewSnapshot`] — an immutable, `Arc`-shared image of one view's output table
+//!   as of one commit: a shared *base* run plus at most one *recent* run of the
+//!   entries changed since the base was built (a zero there is a tombstone). Each run
+//!   stores its keys flat, `arity` values per entry in one `Vec`, so building or
+//!   dropping a run is two allocations however many groups it holds. Cloning a
+//!   snapshot is an `Arc` clone; a point lookup is at most two binary searches
+//!   (recent, then base); iteration and prefix scans merge the two runs in key order.
+//!   Reads take no lock, so any number of threads can read one snapshot while the
+//!   writer keeps ingesting.
+//! * [`OutputDelta`] — the output entries one committed batch wrote, sorted by key,
+//!   each with the value it holds now. [`ViewSnapshot::merged`] publishes a commit
+//!   in proportion to this delta: it is merged into the predecessor's recent run and
+//!   the base `Arc` is shared, not copied. When the recent run outgrows
+//!   ≈ √(2·|base|·|Δ|) entries it is folded into a new base — the size at which the
+//!   fold's O(|base|) cost, spread over the commits since the last fold, balances the
+//!   O(|recent|) merge each commit pays, so a commit costs O(√(|base|·|Δ|)) amortized
+//!   instead of O(|base|). This is DBSP's integration operator (a running sum of
+//!   output deltas) laid out as a stable/recent split.
 //! * [`SnapshotStore`] — the per-view publication slots. A writer *publishes* a fresh
 //!   snapshot at a quiescent point (a batch-commit boundary); readers *acquire* the
-//!   current snapshot. Acquire is O(1): one shared-lock on the slot table plus one
-//!   per-slot mutex held only for an `Arc` clone — never for the duration of a read —
-//!   and publication swaps a pointer, so writers never wait for readers to finish.
+//!   current snapshot. Acquire takes a shared lock on the slot table plus one per-slot
+//!   mutex held only for an `Arc` clone — never for the duration of a read — and
+//!   publication swaps a pointer, so writers never wait for readers to finish. Views
+//!   are addressable by name through a name → slot map kept under the table lock, so
+//!   acquiring by name locks one slot mutex, not every slot's.
 //!
 //! The store tracks view lifecycle alongside the published data: a quarantined view's
 //! slot is flagged so acquisition fails *up front* ([`SnapshotAccess::Poisoned`])
@@ -25,31 +40,86 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use dbring_algebra::Number;
+use dbring_algebra::{Number, Semiring};
 use dbring_relations::Value;
 
-/// An immutable point-in-time copy of one view's output table, shared by `Arc`.
-///
-/// A snapshot is produced by the ingest side at a batch-commit quiescent point and
-/// never changes afterwards: updates ingested later publish *new* snapshots and can
-/// never perturb one already handed out. `Clone` is an `Arc` clone, and every
-/// accessor takes `&self` over immutable data, so snapshots are `Send + Sync` and
-/// freely shared across reader threads with zero locking on the read path.
-#[derive(Clone)]
-pub struct ViewSnapshot {
-    inner: Arc<SnapshotInner>,
+/// One sorted run of `(key, value)` entries with unique keys, stored flat: entry
+/// `i`'s key is `keys[i * arity..(i + 1) * arity]`, its value `values[i]`. The
+/// number of entries is `values.len()`, which also covers arity-0 views (one empty
+/// key, no key values).
+#[derive(Debug, Default)]
+struct Run {
+    arity: usize,
+    keys: Vec<Value>,
+    values: Vec<Number>,
 }
 
-struct SnapshotInner {
-    name: Arc<str>,
-    epoch: u64,
-    ingested: u64,
-    /// The output table, sorted ascending by group key (unique keys, no zeros) —
-    /// binary-searchable for point lookups and contiguous for prefix scans.
-    entries: Vec<(Vec<Value>, Number)>,
+impl Run {
+    fn with_capacity(arity: usize, entries: usize) -> Self {
+        Run {
+            arity,
+            keys: Vec::with_capacity(arity * entries),
+            values: Vec::with_capacity(entries),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn key(&self, i: usize) -> &[Value] {
+        &self.keys[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// Appends an entry; keys must arrive strictly ascending.
+    fn push(&mut self, key: &[Value], value: Number) {
+        debug_assert_eq!(key.len(), self.arity);
+        debug_assert!(self.len() == 0 || self.key(self.len() - 1) < key);
+        self.keys.extend_from_slice(key);
+        self.values.push(value);
+    }
+
+    /// Binary search for `key`: its index, or where it would be inserted.
+    fn search(&self, key: &[Value]) -> Result<usize, usize> {
+        let i = self.partition_point(|k| k < key);
+        if i < self.len() && self.key(i) == key {
+            Ok(i)
+        } else {
+            Err(i)
+        }
+    }
+
+    /// The first index whose key does not satisfy `pred` (keys satisfying it must
+    /// form a prefix of the run). The loop halves a window without an early exit,
+    /// so each step is a conditional move rather than a branch a random probe
+    /// mispredicts.
+    fn partition_point(&self, pred: impl Fn(&[Value]) -> bool) -> usize {
+        let mut size = self.len();
+        if size == 0 {
+            return 0;
+        }
+        let mut base = 0;
+        while size > 1 {
+            let half = size / 2;
+            let mid = base + half;
+            if pred(self.key(mid)) {
+                base = mid;
+            }
+            size -= half;
+        }
+        base + usize::from(pred(self.key(base)))
+    }
+
+    /// The index range of the entries whose key begins with `prefix`.
+    fn prefix_range(&self, prefix: &[Value]) -> Range<usize> {
+        let start = self.partition_point(|k| prefix_cmp(k, prefix) == Ordering::Less);
+        let end = self.partition_point(|k| prefix_cmp(k, prefix) != Ordering::Greater);
+        start..end
+    }
 }
 
 /// Compares a key against a prefix, considering only the key's first
@@ -59,22 +129,210 @@ fn prefix_cmp(key: &[Value], prefix: &[Value]) -> Ordering {
     key[..key.len().min(prefix.len())].cmp(prefix)
 }
 
+/// Merges an older and a newer run (over index ranges) in key order. On equal keys
+/// the newer entry wins and the older one is skipped. With `skip_zeros`, zero
+/// values (tombstones) are dropped from the output instead of yielded.
+struct Merge<'a> {
+    older: &'a Run,
+    newer: &'a Run,
+    o: Range<usize>,
+    n: Range<usize>,
+    skip_zeros: bool,
+}
+
+impl<'a> Merge<'a> {
+    fn full(older: &'a Run, newer: &'a Run, skip_zeros: bool) -> Self {
+        Merge {
+            older,
+            newer,
+            o: 0..older.len(),
+            n: 0..newer.len(),
+            skip_zeros,
+        }
+    }
+
+    /// Collects the merge into a fresh run of the given arity.
+    fn collect_run(self, arity: usize) -> Run {
+        let mut run = Run::with_capacity(arity, self.o.len() + self.n.len());
+        for (key, value) in self {
+            run.push(key, value);
+        }
+        run
+    }
+}
+
+impl<'a> Iterator for Merge<'a> {
+    type Item = (&'a [Value], Number);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let take_newer = match (self.o.is_empty(), self.n.is_empty()) {
+                (true, true) => return None,
+                (false, true) => false,
+                (true, false) => true,
+                (false, false) => {
+                    match self
+                        .older
+                        .key(self.o.start)
+                        .cmp(self.newer.key(self.n.start))
+                    {
+                        Ordering::Less => false,
+                        Ordering::Greater => true,
+                        Ordering::Equal => {
+                            self.o.start += 1;
+                            true
+                        }
+                    }
+                }
+            };
+            let (run, range) = if take_newer {
+                (self.newer, &mut self.n)
+            } else {
+                (self.older, &mut self.o)
+            };
+            let i = range.start;
+            range.start += 1;
+            let value = run.values[i];
+            if !(self.skip_zeros && value.is_zero()) {
+                return Some((run.key(i), value));
+            }
+        }
+    }
+}
+
+/// The output entries one committed batch wrote: every written key once, ascending,
+/// paired with the value it holds after the commit (zero means the group was
+/// removed), plus the net change in the number of groups — learned from each key's
+/// value before the batch, so publishing never has to count the whole table.
+///
+/// Built by [`ViewEngine::output_delta`](crate::ViewEngine::output_delta) from the
+/// staged undo log and consumed by [`ViewSnapshot::merged`].
+#[derive(Debug, Default)]
+pub struct OutputDelta {
+    run: Run,
+    len_change: isize,
+}
+
+impl OutputDelta {
+    /// An empty delta for keys of the given arity, with room for `entries` keys.
+    pub(crate) fn with_capacity(arity: usize, entries: usize) -> Self {
+        OutputDelta {
+            run: Run::with_capacity(arity, entries),
+            len_change: 0,
+        }
+    }
+
+    /// Records that `key` went from `before` to `after` (zero ⇔ absent). Keys must
+    /// be pushed strictly ascending.
+    pub(crate) fn push(&mut self, key: &[Value], before: Number, after: Number) {
+        self.run.push(key, after);
+        self.len_change += isize::from(!after.is_zero()) - isize::from(!before.is_zero());
+    }
+
+    /// Number of changed keys.
+    pub fn len(&self) -> usize {
+        self.run.len()
+    }
+
+    /// Whether the batch wrote no output key.
+    pub fn is_empty(&self) -> bool {
+        self.run.len() == 0
+    }
+
+    /// The changed keys in ascending order, each with its value after the commit
+    /// (zero for a removed group).
+    pub fn iter(&self) -> impl Iterator<Item = (&[Value], Number)> {
+        (0..self.run.len()).map(move |i| (self.run.key(i), self.run.values[i]))
+    }
+}
+
+/// An immutable point-in-time image of one view's output table, shared by `Arc`.
+///
+/// A snapshot is produced by the ingest side at a batch-commit quiescent point and
+/// never changes afterwards: updates ingested later publish *new* snapshots and can
+/// never perturb one already handed out. It is a shared base run plus at most one
+/// recent run of overrides (see the [module docs](self)); a snapshot published by
+/// [`ViewSnapshot::merged`] shares its base with its predecessor. `Clone` is an `Arc`
+/// clone, and every accessor takes `&self` over immutable data, so snapshots are
+/// `Send + Sync` and freely shared across reader threads with zero locking on the
+/// read path.
+#[derive(Clone)]
+pub struct ViewSnapshot {
+    inner: Arc<SnapshotInner>,
+}
+
+struct SnapshotInner {
+    name: Arc<str>,
+    epoch: u64,
+    ingested: u64,
+    /// Live entries only (no zeros), shared with every snapshot merged on top of it.
+    base: Arc<Run>,
+    /// Entries changed since `base` was built; a zero is a tombstone for a group
+    /// removed since. Shared with the predecessor when a commit changed nothing.
+    recent: Arc<Run>,
+    /// Number of live groups: base plus recent, less tombstones and overrides.
+    len: usize,
+}
+
 impl ViewSnapshot {
-    /// Builds a snapshot from entries already sorted ascending by unique key
-    /// (the order a `BTreeMap` iterates in).
+    /// Builds a base-only snapshot from entries already sorted ascending by unique
+    /// key (the order a `BTreeMap` iterates in), with no zero values.
     pub fn new(
         name: Arc<str>,
         epoch: u64,
         ingested: u64,
         entries: Vec<(Vec<Value>, Number)>,
     ) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let arity = entries.first().map_or(0, |(key, _)| key.len());
+        let mut base = Run::with_capacity(arity, entries.len());
+        for (key, value) in &entries {
+            debug_assert!(!value.is_zero());
+            base.push(key, *value);
+        }
+        let len = base.len();
         ViewSnapshot {
             inner: Arc::new(SnapshotInner {
                 name,
                 epoch,
                 ingested,
-                entries,
+                base: Arc::new(base),
+                recent: Arc::new(Run::with_capacity(arity, 0)),
+                len,
+            }),
+        }
+    }
+
+    /// The successor of this snapshot after one committed batch whose output
+    /// changes are `delta`: the delta is merged into this snapshot's recent run and
+    /// the base is shared, so the work is O(|recent| + |Δ|), not O(|table|). Once
+    /// the recent run exceeds √(2·|base|·|Δ|) entries it is folded into a new base
+    /// (O(|base|)), which keeps a commit at O(√(|base|·|Δ|)) amortized and a lookup
+    /// at two binary searches. `self` is untouched.
+    pub fn merged(&self, epoch: u64, ingested: u64, delta: &OutputDelta) -> ViewSnapshot {
+        let old = &*self.inner;
+        let len = old.len as isize + delta.len_change;
+        debug_assert!(len >= 0, "the group count cannot go negative");
+        let (base, recent) = if delta.is_empty() {
+            (Arc::clone(&old.base), Arc::clone(&old.recent))
+        } else {
+            let arity = delta.run.arity;
+            let recent = Merge::full(&old.recent, &delta.run, false).collect_run(arity);
+            let (r, b, d) = (recent.len(), old.base.len(), delta.len());
+            if r.saturating_mul(r) > b.saturating_mul(d).saturating_mul(2) {
+                let base = Merge::full(&old.base, &recent, true).collect_run(arity);
+                (Arc::new(base), Arc::new(Run::with_capacity(arity, 0)))
+            } else {
+                (Arc::clone(&old.base), Arc::new(recent))
+            }
+        };
+        ViewSnapshot {
+            inner: Arc::new(SnapshotInner {
+                name: Arc::clone(&old.name),
+                epoch,
+                ingested,
+                base,
+                recent,
+                len: len as usize,
             }),
         }
     }
@@ -100,21 +358,29 @@ impl ViewSnapshot {
 
     /// Number of groups (rows) in the snapshot.
     pub fn len(&self) -> usize {
-        self.inner.entries.len()
+        self.inner.len
     }
 
     /// Whether the snapshot holds no groups.
     pub fn is_empty(&self) -> bool {
-        self.inner.entries.is_empty()
+        self.inner.len == 0
     }
 
-    /// Point lookup: the value stored under `key`, if the group is present.
+    /// The sizes of the two runs: entries in the shared base run, and entries in
+    /// the recent run (tombstones included). A diagnostic of the publication
+    /// layout; a freshly built or just-folded snapshot has an empty recent run.
+    pub fn runs(&self) -> (usize, usize) {
+        (self.inner.base.len(), self.inner.recent.len())
+    }
+
+    /// Point lookup: the value stored under `key`, if the group is present. At
+    /// most two binary searches: the recent run, then the base.
     pub fn get(&self, key: &[Value]) -> Option<Number> {
-        self.inner
-            .entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| self.inner.entries[i].1)
+        let inner = &*self.inner;
+        match inner.recent.search(key) {
+            Ok(i) => Some(inner.recent.values[i]).filter(|v| !v.is_zero()),
+            Err(_) => inner.base.search(key).ok().map(|i| inner.base.values[i]),
+        }
     }
 
     /// Point lookup with the ring's absent-means-zero convention (the snapshot
@@ -125,32 +391,29 @@ impl ViewSnapshot {
 
     /// Iterates every `(key, value)` group in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (&[Value], Number)> {
-        self.inner.entries.iter().map(|(k, v)| (k.as_slice(), *v))
+        Merge::full(&self.inner.base, &self.inner.recent, true)
     }
 
     /// Prefix scan: every group whose key begins with `prefix`, in ascending key
-    /// order, located by binary search (no full-table walk).
+    /// order, located by binary search in each run (no full-table walk).
     pub fn prefix_scan<'a>(
         &'a self,
         prefix: &[Value],
     ) -> impl Iterator<Item = (&'a [Value], Number)> {
-        let entries = &self.inner.entries;
-        let start = entries.partition_point(|(k, _)| prefix_cmp(k, prefix) == Ordering::Less);
-        let len =
-            entries[start..].partition_point(|(k, _)| prefix_cmp(k, prefix) == Ordering::Equal);
-        entries[start..start + len]
-            .iter()
-            .map(|(k, v)| (k.as_slice(), *v))
+        let inner = &*self.inner;
+        Merge {
+            older: &inner.base,
+            newer: &inner.recent,
+            o: inner.base.prefix_range(prefix),
+            n: inner.recent.prefix_range(prefix),
+            skip_zeros: true,
+        }
     }
 
     /// The snapshot as an owned `BTreeMap` — an explicit O(n) export for tests and
     /// bulk consumers, *not* part of the per-request read path.
     pub fn table(&self) -> BTreeMap<Vec<Value>, Number> {
-        self.inner
-            .entries
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
+        self.iter().map(|(k, v)| (k.to_vec(), v)).collect()
     }
 }
 
@@ -160,7 +423,8 @@ impl fmt::Debug for ViewSnapshot {
             .field("name", &self.inner.name)
             .field("epoch", &self.inner.epoch)
             .field("ingested", &self.inner.ingested)
-            .field("len", &self.inner.entries.len())
+            .field("len", &self.inner.len)
+            .field("runs", &self.runs())
             .finish()
     }
 }
@@ -186,17 +450,33 @@ enum SlotState {
     Dropped,
 }
 
+/// The slot table: the slots themselves plus the name → slot map of the live
+/// (published or poisoned) ones, kept sorted by name — a lookup is a binary
+/// search over a handful of names, cheaper than hashing one.
+#[derive(Default)]
+struct Slots {
+    cells: Vec<Mutex<SlotState>>,
+    names: Vec<(Arc<str>, u32)>,
+}
+
+impl Slots {
+    fn search(&self, name: &str) -> Result<usize, usize> {
+        self.names.binary_search_by(|(n, _)| (**n).cmp(name))
+    }
+}
+
 /// The per-view snapshot publication slots, shared between one writer and any
 /// number of readers via `Arc<SnapshotStore>`.
 ///
 /// Slot indices parallel the owning engine registry's slots: registered in creation
 /// order, never reused. The writer publishes at quiescent points with
-/// [`SnapshotStore::publish`]; readers acquire with [`SnapshotStore::acquire`].
-/// All slot access is O(1) — a shared lock on the slot table (taken exclusively
-/// only when a *new* view is registered) plus a per-slot mutex held just long
-/// enough to clone or swap an `Arc`.
+/// [`SnapshotStore::publish`]; readers acquire with [`SnapshotStore::acquire`]. A
+/// slot's name is fixed when it is registered and resolves through
+/// [`SnapshotStore::find`] until the slot is evicted. Slot access is O(1) — a
+/// shared lock on the slot table (taken exclusively only to register or evict a
+/// view) plus a per-slot mutex held just long enough to clone or swap an `Arc`.
 pub struct SnapshotStore {
-    slots: RwLock<Vec<Mutex<SlotState>>>,
+    slots: RwLock<Slots>,
     epoch: AtomicU64,
 }
 
@@ -204,23 +484,30 @@ impl SnapshotStore {
     /// An empty store (no slots, epoch 0).
     pub fn new() -> Self {
         SnapshotStore {
-            slots: RwLock::new(Vec::new()),
+            slots: RwLock::new(Slots::default()),
             epoch: AtomicU64::new(0),
         }
     }
 
     /// Registers the next slot with its initial snapshot and returns the slot index.
+    /// The snapshot's name now resolves to this slot.
     pub fn register(&self, snapshot: ViewSnapshot) -> u32 {
         let mut slots = self.slots.write().expect("snapshot store lock poisoned");
-        slots.push(Mutex::new(SlotState::Published(snapshot)));
-        (slots.len() - 1) as u32
+        let slot = slots.cells.len() as u32;
+        let name = Arc::clone(&snapshot.inner.name);
+        match slots.search(&name) {
+            Ok(i) => slots.names[i].1 = slot,
+            Err(i) => slots.names.insert(i, (name, slot)),
+        }
+        slots.cells.push(Mutex::new(SlotState::Published(snapshot)));
+        slot
     }
 
     /// Registers the next slot already dropped (used when mirroring a store whose
     /// owning ring has tombstoned slots — indices must stay aligned).
     pub fn register_dropped(&self) {
         let mut slots = self.slots.write().expect("snapshot store lock poisoned");
-        slots.push(Mutex::new(SlotState::Dropped));
+        slots.cells.push(Mutex::new(SlotState::Dropped));
     }
 
     /// Number of slots ever registered (dropped slots included — indices are stable).
@@ -228,6 +515,7 @@ impl SnapshotStore {
         self.slots
             .read()
             .expect("snapshot store lock poisoned")
+            .cells
             .len()
     }
 
@@ -246,7 +534,7 @@ impl SnapshotStore {
     /// memory is freed once the last reader clone of it goes away.
     pub fn publish(&self, slot: u32, snapshot: ViewSnapshot) {
         let slots = self.slots.read().expect("snapshot store lock poisoned");
-        let mut state = slots[slot as usize]
+        let mut state = slots.cells[slot as usize]
             .lock()
             .expect("snapshot slot lock poisoned");
         *state = SlotState::Published(snapshot);
@@ -258,30 +546,42 @@ impl SnapshotStore {
     /// silently freeze the view, so the poisoning is surfaced instead.
     pub fn poison(&self, slot: u32) {
         let slots = self.slots.read().expect("snapshot store lock poisoned");
-        let mut state = slots[slot as usize]
+        let mut state = slots.cells[slot as usize]
             .lock()
             .expect("snapshot slot lock poisoned");
         if let SlotState::Published(snapshot) = &*state {
-            let name = Arc::from(snapshot.name());
+            let name = Arc::clone(&snapshot.inner.name);
             *state = SlotState::Poisoned(name);
         }
     }
 
-    /// Releases `slot`'s snapshot for good (the view was dropped). Readers still
-    /// holding a previously acquired [`ViewSnapshot`] keep it alive until they
-    /// drop it; new acquisitions report [`SnapshotAccess::Dropped`].
+    /// Releases `slot`'s snapshot for good (the view was dropped) and frees its
+    /// name. Readers still holding a previously acquired [`ViewSnapshot`] keep it
+    /// alive until they drop it; new acquisitions report [`SnapshotAccess::Dropped`].
     pub fn evict(&self, slot: u32) {
-        let slots = self.slots.read().expect("snapshot store lock poisoned");
-        let mut state = slots[slot as usize]
-            .lock()
-            .expect("snapshot slot lock poisoned");
-        *state = SlotState::Dropped;
+        let mut slots = self.slots.write().expect("snapshot store lock poisoned");
+        let state = std::mem::replace(
+            &mut *slots.cells[slot as usize]
+                .lock()
+                .expect("snapshot slot lock poisoned"),
+            SlotState::Dropped,
+        );
+        let name = match &state {
+            SlotState::Published(snapshot) => &snapshot.inner.name,
+            SlotState::Poisoned(name) => name,
+            SlotState::Dropped => return,
+        };
+        if let Ok(i) = slots.search(name) {
+            if slots.names[i].1 == slot {
+                slots.names.remove(i);
+            }
+        }
     }
 
     /// Acquires `slot`'s current snapshot — O(1), independent of view size.
     pub fn acquire(&self, slot: u32) -> SnapshotAccess {
         let slots = self.slots.read().expect("snapshot store lock poisoned");
-        let Some(cell) = slots.get(slot as usize) else {
+        let Some(cell) = slots.cells.get(slot as usize) else {
             return SnapshotAccess::Unknown;
         };
         let state = cell.lock().expect("snapshot slot lock poisoned");
@@ -292,21 +592,12 @@ impl SnapshotStore {
         }
     }
 
-    /// The slot index of the live (published or poisoned) view named `name`, if any
-    /// — a linear scan over the slots, for name-addressed acquisition.
+    /// The slot index of the live (published or poisoned) view named `name`, if
+    /// any — a binary search of the name map under the table's shared lock, no
+    /// slot mutex.
     pub fn find(&self, name: &str) -> Option<u32> {
         let slots = self.slots.read().expect("snapshot store lock poisoned");
-        slots
-            .iter()
-            .position(|cell| {
-                let state = cell.lock().expect("snapshot slot lock poisoned");
-                match &*state {
-                    SlotState::Published(snapshot) => snapshot.name() == name,
-                    SlotState::Poisoned(slot_name) => &**slot_name == name,
-                    SlotState::Dropped => false,
-                }
-            })
-            .map(|i| i as u32)
+        slots.search(name).ok().map(|i| slots.names[i].1)
     }
 
     /// Total groups currently held across all published snapshots — the store's
@@ -314,6 +605,7 @@ impl SnapshotStore {
     pub fn published_entries(&self) -> usize {
         let slots = self.slots.read().expect("snapshot store lock poisoned");
         slots
+            .cells
             .iter()
             .map(|cell| {
                 let state = cell.lock().expect("snapshot slot lock poisoned");
@@ -443,5 +735,139 @@ mod tests {
         store.evict(slot);
         // The handle acquired earlier still reads its point-in-time data.
         assert_eq!(held.value(&key(&[1])), Number::Int(5));
+    }
+
+    /// A delta over `(key, before, after)` triples, keys ascending.
+    fn delta(changes: &[(&[i64], i64, i64)]) -> OutputDelta {
+        let arity = changes.first().map_or(1, |(k, _, _)| k.len());
+        let mut d = OutputDelta::with_capacity(arity, changes.len());
+        for (k, before, after) in changes {
+            d.push(&key(k), Number::Int(*before), Number::Int(*after));
+        }
+        d
+    }
+
+    fn table_of(entries: &[(&[i64], i64)]) -> BTreeMap<Vec<Value>, Number> {
+        entries
+            .iter()
+            .map(|(k, v)| (key(k), Number::Int(*v)))
+            .collect()
+    }
+
+    #[test]
+    fn merging_tombstones_hides_removed_groups_everywhere() {
+        // A wide base keeps the two small deltas below the fold threshold.
+        let entries: Vec<(Vec<i64>, i64)> =
+            (0..50).map(|i| (vec![i / 10, i % 10], i + 1)).collect();
+        let refs: Vec<(&[i64], i64)> = entries.iter().map(|(k, v)| (k.as_slice(), *v)).collect();
+        let s0 = snap("v", &refs);
+        // Remove (1, 3), change (1, 4), add (1, 99).
+        let s1 = s0.merged(
+            2,
+            1,
+            &delta(&[(&[1, 3], 14, 0), (&[1, 4], 15, 7), (&[1, 99], 0, 5)]),
+        );
+        assert_eq!(
+            s1.runs(),
+            (50, 3),
+            "the base is shared, the delta is the recent run"
+        );
+        assert!(Arc::ptr_eq(&s0.inner.base, &s1.inner.base));
+        assert_eq!(s1.len(), 50);
+        assert_eq!(
+            s1.get(&key(&[1, 3])),
+            None,
+            "a tombstone hides the base entry"
+        );
+        assert_eq!(s1.get(&key(&[1, 4])), Some(Number::Int(7)));
+        assert_eq!(s1.get(&key(&[1, 99])), Some(Number::Int(5)));
+        assert_eq!(s1.get(&key(&[1, 5])), Some(Number::Int(16)));
+        let scanned: Vec<(Vec<Value>, Number)> = s1
+            .prefix_scan(&key(&[1]))
+            .map(|(k, v)| (k.to_vec(), v))
+            .collect();
+        let mut want = table_of(&refs);
+        want.remove(&key(&[1, 3]));
+        want.insert(key(&[1, 4]), Number::Int(7));
+        want.insert(key(&[1, 99]), Number::Int(5));
+        let want_scan: Vec<(Vec<Value>, Number)> = want
+            .iter()
+            .filter(|(k, _)| k[0] == Value::int(1))
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
+        assert_eq!(scanned, want_scan);
+        assert_eq!(s1.table(), want);
+        // Re-inserting the removed group overrides its tombstone in the recent run.
+        let s2 = s1.merged(3, 2, &delta(&[(&[1, 3], 0, 9)]));
+        assert_eq!(s2.runs(), (50, 3));
+        assert_eq!(s2.get(&key(&[1, 3])), Some(Number::Int(9)));
+        assert_eq!(s2.len(), 51);
+        // The predecessors are untouched.
+        assert_eq!(s0.table(), table_of(&refs));
+        assert_eq!(s1.table(), want);
+    }
+
+    #[test]
+    fn an_oversized_recent_run_folds_into_a_new_base() {
+        let s0 = snap("v", &[(&[1], 1), (&[2], 2), (&[3], 3), (&[4], 4)]);
+        // |recent| = 3 > sqrt(2 * 4 * 1)? 9 > 8: the third one-key commit folds.
+        let s1 = s0.merged(2, 1, &delta(&[(&[2], 2, 0)]));
+        let s2 = s1.merged(3, 2, &delta(&[(&[5], 0, 5)]));
+        assert_eq!(s2.runs(), (4, 2));
+        let s3 = s2.merged(4, 3, &delta(&[(&[1], 1, 10)]));
+        assert_eq!(
+            s3.runs(),
+            (4, 0),
+            "folded: tombstone dropped, overrides applied"
+        );
+        assert!(!Arc::ptr_eq(&s2.inner.base, &s3.inner.base));
+        assert_eq!(s3.len(), 4);
+        assert_eq!(
+            s3.table(),
+            table_of(&[(&[1], 10), (&[3], 3), (&[4], 4), (&[5], 5)])
+        );
+        // The snapshot held across the fold still reads its own state.
+        assert_eq!(
+            s2.table(),
+            table_of(&[(&[1], 1), (&[3], 3), (&[4], 4), (&[5], 5)])
+        );
+        assert_eq!(s2.get(&key(&[2])), None);
+        // An empty delta republishes the same runs.
+        let s4 = s3.merged(5, 3, &OutputDelta::default());
+        assert!(Arc::ptr_eq(&s3.inner.base, &s4.inner.base));
+        assert!(Arc::ptr_eq(&s3.inner.recent, &s4.inner.recent));
+        assert_eq!((s4.epoch(), s4.len()), (5, 4));
+    }
+
+    #[test]
+    fn arity_zero_views_and_empty_starts_merge_like_any_other() {
+        let empty = ViewSnapshot::new(Arc::from("total"), 0, 0, Vec::new());
+        let s1 = empty.merged(1, 1, &delta(&[(&[], 0, 42)]));
+        assert_eq!(s1.get(&[]), Some(Number::Int(42)));
+        assert_eq!(
+            (s1.len(), s1.runs()),
+            (1, (1, 0)),
+            "an empty base folds at once"
+        );
+        let s2 = s1.merged(2, 2, &delta(&[(&[], 42, 0)]));
+        assert_eq!(s2.get(&[]), None);
+        assert!(s2.is_empty());
+        assert_eq!(s2.iter().count(), 0);
+        assert_eq!(s2.prefix_scan(&[]).count(), 0);
+    }
+
+    #[test]
+    fn names_resolve_to_the_newest_live_slot() {
+        let store = SnapshotStore::new();
+        let first = store.register(snap("v", &[(&[1], 5)]));
+        store.register_dropped();
+        store.evict(first);
+        assert_eq!(store.find("v"), None);
+        let second = store.register(snap("v", &[(&[1], 6)]));
+        assert_eq!(store.find("v"), Some(second));
+        // Evicting the old slot again must not unmap the new one.
+        store.evict(first);
+        assert_eq!(store.find("v"), Some(second));
+        assert_eq!(store.len(), 3);
     }
 }

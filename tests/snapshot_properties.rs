@@ -14,6 +14,14 @@
 //!    snapshot-acquire time, and repairs republish readable snapshots.
 //! 5. **Release on drop** (footprint regression): `drop_view` evicts the published
 //!    snapshot promptly; only handles already acquired keep the data alive.
+//! 6. **Delta publication oracle**: a commit publishes by merging the batch's output
+//!    delta into the predecessor snapshot; after every batch that snapshot must read
+//!    exactly like a base-only [`ViewSnapshot::new`] built from a full
+//!    `output_table()` export — `table`, `len`, `iter` order, prefix scans and point
+//!    lookups — on both backends, including arity-0 views, views registered empty or
+//!    mid-stream, groups deleted to zero and re-inserted, and batches that straddle a
+//!    fold of the recent run into the base. Snapshots held across a fold stay
+//!    bit-identical.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -348,4 +356,192 @@ fn drop_view_releases_published_snapshots() {
     ring.apply_batch(&batch).unwrap();
     assert!(ring.snapshot_footprint() > 0);
     assert!(handle.snapshot_named("r_by_a").is_ok());
+}
+
+/// The views of property 6: [`VIEWS`] plus an arity-2 view, so prefix scans cover
+/// proper prefixes and the wider key domain makes folds frequent.
+const DELTA_VIEWS: &[(&str, &str)] = &[
+    ("r_by_a", "q[a] := Sum(R(a, b) * b)"),
+    ("r_selfjoin", "q := Sum(R(a, b) * R(a2, b) * (a = a2))"),
+    ("s_count", "q := Sum(S(x))"),
+    ("rs_join", "q[a] := Sum(R(a, b) * S(b))"),
+    ("r_pairs", "q[a, b] := Sum(R(a, b))"),
+];
+
+/// A view created once the ring is already serving and has ingested half the stream.
+const LATE_VIEW: (&str, &str) = ("r_pairs_late", "q[b, a] := Sum(R(a, b))");
+
+/// Everything a reader can observe of a snapshot, with values rendered exactly
+/// (`Int` and `Float` apart), plus every prefix scan and point lookup over `probes`.
+fn observe(snapshot: &ViewSnapshot, probes: &[Vec<Value>]) -> String {
+    let entries: Vec<(Vec<Value>, Number)> =
+        snapshot.iter().map(|(k, v)| (k.to_vec(), v)).collect();
+    let mut out = format!("len {} entries {:?}\n", snapshot.len(), entries);
+    for probe in probes {
+        for cut in 0..=probe.len() {
+            let scan: Vec<(Vec<Value>, Number)> = snapshot
+                .prefix_scan(&probe[..cut])
+                .map(|(k, v)| (k.to_vec(), v))
+                .collect();
+            out += &format!("scan {:?} {:?}\n", &probe[..cut], scan);
+        }
+        out += &format!("get {:?} {:?}\n", probe, snapshot.get(probe));
+    }
+    out
+}
+
+/// Probe keys of the given arity over a domain a little wider than the streams',
+/// so lookups hit present, removed and never-present groups.
+fn probes(arity: usize) -> Vec<Vec<Value>> {
+    let mut keys = vec![Vec::new()];
+    for _ in 0..arity {
+        keys = keys
+            .into_iter()
+            .flat_map(|k| {
+                (-1i64..6).map(move |x| {
+                    let mut k = k.clone();
+                    k.push(Value::int(x));
+                    k
+                })
+            })
+            .collect();
+    }
+    keys
+}
+
+/// The group-key arity of a property-6 view.
+fn view_arity(name: &str) -> usize {
+    match name {
+        "r_selfjoin" | "s_count" => 0,
+        "r_by_a" | "rs_join" => 1,
+        _ => 2,
+    }
+}
+
+/// How one view's publications looked over a run.
+#[derive(Default)]
+struct Layout {
+    /// Commits that published a non-empty recent run over the shared base.
+    layered: usize,
+    /// Commits whose recent run was folded into a new base.
+    folds: usize,
+}
+
+/// Drives property 6 on one backend; returns the per-view publication layouts seen.
+fn check_delta_publication(
+    backend: StorageBackend,
+    updates: &[Update],
+    batch_size: usize,
+) -> Result<HashMap<String, Layout>, TestCaseError> {
+    let mut ring = RingBuilder::new(catalog()).backend(backend).build();
+    for (name, text) in DELTA_VIEWS {
+        ring.create_view(*name, ViewDef::Agca(text)).unwrap();
+    }
+    // Serving starts on the empty ring: every view is registered empty and then
+    // filled by deltas alone.
+    let handle = ring.reader();
+    let mut names: Vec<&str> = DELTA_VIEWS.iter().map(|(name, _)| *name).collect();
+    let mut layouts: HashMap<String, Layout> = HashMap::new();
+    let mut last_runs: HashMap<String, (usize, usize)> = HashMap::new();
+    // Every snapshot acquired, with what it showed when it was acquired.
+    let mut held: Vec<(ViewSnapshot, String)> = Vec::new();
+    let chunks: Vec<&[Update]> = updates.chunks(batch_size).collect();
+    for (i, chunk) in chunks.iter().enumerate() {
+        if i == chunks.len() / 2 {
+            ring.create_view(LATE_VIEW.0, ViewDef::Agca(LATE_VIEW.1))
+                .unwrap();
+            names.push(LATE_VIEW.0);
+        }
+        ring.apply_batch(chunk).unwrap();
+        for &name in &names {
+            let published = handle.snapshot_named(name).unwrap();
+            let full = ViewSnapshot::new(
+                Arc::from(name),
+                0,
+                0,
+                ring.view_named(name).unwrap().table().into_iter().collect(),
+            );
+            let probes = probes(view_arity(name));
+            let seen = observe(&published, &probes);
+            prop_assert_eq!(
+                &seen,
+                &observe(&full, &probes),
+                "delta-published snapshot of {} != full export (backend {:?}, batch {})",
+                name,
+                backend,
+                i
+            );
+            prop_assert_eq!(published.table(), full.table());
+            let layout = layouts.entry(name.to_string()).or_default();
+            let runs = published.runs();
+            let before = last_runs.insert(name.to_string(), runs).unwrap_or((0, 0));
+            if runs.1 > 0 {
+                layout.layered += 1;
+            } else if before.1 > 0 {
+                layout.folds += 1;
+            }
+            held.push((published, seen));
+        }
+    }
+    // Held snapshots — including those acquired just before a fold — are frozen.
+    for (snapshot, seen) in &held {
+        let probes = probes(view_arity(snapshot.name()));
+        prop_assert_eq!(
+            &observe(snapshot, &probes),
+            seen,
+            "held snapshot of {} changed",
+            snapshot.name()
+        );
+    }
+    Ok(layouts)
+}
+
+/// `updates`, then their negation (every group back to zero), then `updates`
+/// again (every group re-inserted).
+fn delete_and_reinsert(updates: &[Update]) -> Vec<Update> {
+    let negated = updates.iter().map(|u| {
+        let mut u = u.clone();
+        u.multiplicity = -u.multiplicity;
+        u
+    });
+    updates
+        .iter()
+        .cloned()
+        .chain(negated)
+        .chain(updates.iter().cloned())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Property 6 over random streams and batch sizes, on both backends.
+    #[test]
+    fn delta_published_snapshots_equal_full_exports(
+        updates in prop::collection::vec(arb_update(), 1..32),
+        batch_size in 1usize..8,
+    ) {
+        let stream = delete_and_reinsert(&updates);
+        for backend in BACKENDS {
+            check_delta_publication(backend, &stream, batch_size)?;
+        }
+    }
+}
+
+/// Property 6 on a fixed stream wide enough that the arity-2 view's recent run
+/// both layers over the base and folds into it, several times, on both backends.
+#[test]
+fn delta_publication_straddles_folds() {
+    let stream = delete_and_reinsert(&synthetic_stream(160));
+    for backend in BACKENDS {
+        let layouts = check_delta_publication(backend, &stream, 2).unwrap();
+        let pairs = &layouts["r_pairs"];
+        assert!(
+            pairs.layered > 0 && pairs.folds > 1,
+            "expected layered commits and folds on {backend:?}, saw {} and {}",
+            pairs.layered,
+            pairs.folds
+        );
+        assert!(layouts[LATE_VIEW.0].folds > 0, "the late view never folded");
+    }
 }
