@@ -11,7 +11,9 @@
 //!   stores its keys flat, `arity` values per entry in one `Vec`, so building or
 //!   dropping a run is two allocations however many groups it holds. Cloning a
 //!   snapshot is an `Arc` clone; a point lookup is at most two binary searches
-//!   (recent, then base); iteration and prefix scans merge the two runs in key order.
+//!   (recent, then base), and a small Bloom filter over the recent run's keys lets
+//!   most lookups of keys it does not hold skip the first; iteration and prefix
+//!   scans merge the two runs in key order.
 //!   Reads take no lock, so any number of threads can read one snapshot while the
 //!   writer keeps ingesting.
 //! * [`OutputDelta`] — the output entries one committed batch wrote, sorted by key,
@@ -40,6 +42,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -127,6 +130,81 @@ impl Run {
 /// so it can never match).
 fn prefix_cmp(key: &[Value], prefix: &[Value]) -> Ordering {
     key[..key.len().min(prefix.len())].cmp(prefix)
+}
+
+/// A two-probe Bloom filter over the keys of a recent run, about 8 bits per key:
+/// a lookup it rules out (all but ~5% of keys absent from the run) skips the
+/// recent run's binary search and goes straight to the base.
+#[derive(Debug, Default)]
+struct KeyFilter {
+    bits: Vec<u64>,
+    /// `64 - log2(bit count)`: a probe is the top bits of a 64-bit hash.
+    shift: u32,
+}
+
+impl KeyFilter {
+    fn new(run: &Run) -> Self {
+        if run.len() == 0 {
+            return KeyFilter::default();
+        }
+        let size = (8 * run.len()).next_power_of_two().max(64);
+        let mut filter = KeyFilter {
+            bits: vec![0; size / 64],
+            shift: 64 - size.trailing_zeros(),
+        };
+        for i in 0..run.len() {
+            for bit in filter.probes(run.key(i)) {
+                filter.bits[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        filter
+    }
+
+    /// Two bit positions from one multiplicative hash: its top bits, and the top
+    /// bits of its 32-bit rotation (independent while the filter has ≤ 2³² bits).
+    fn probes(&self, key: &[Value]) -> [usize; 2] {
+        let mut hasher = KeyHasher(0);
+        key.hash(&mut hasher);
+        let h = hasher.0;
+        [
+            (h >> self.shift) as usize,
+            (h.rotate_left(32) >> self.shift) as usize,
+        ]
+    }
+
+    fn may_contain(&self, key: &[Value]) -> bool {
+        !self.bits.is_empty()
+            && self
+                .probes(key)
+                .iter()
+                .all(|&bit| self.bits[bit / 64] & (1 << (bit % 64)) != 0)
+    }
+}
+
+/// A fast multiplicative hasher for the filter (keys come from committed view
+/// output, so collision flooding can only cost a lookup its shortcut).
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
 }
 
 /// Merges an older and a newer run (over index ranges) in key order. On equal keys
@@ -270,6 +348,8 @@ struct SnapshotInner {
     /// Entries changed since `base` was built; a zero is a tombstone for a group
     /// removed since. Shared with the predecessor when a commit changed nothing.
     recent: Arc<Run>,
+    /// Membership filter over `recent`'s keys, built with it.
+    filter: Arc<KeyFilter>,
     /// Number of live groups: base plus recent, less tombstones and overrides.
     len: usize,
 }
@@ -297,6 +377,7 @@ impl ViewSnapshot {
                 ingested,
                 base: Arc::new(base),
                 recent: Arc::new(Run::with_capacity(arity, 0)),
+                filter: Arc::default(),
                 len,
             }),
         }
@@ -312,17 +393,26 @@ impl ViewSnapshot {
         let old = &*self.inner;
         let len = old.len as isize + delta.len_change;
         debug_assert!(len >= 0, "the group count cannot go negative");
-        let (base, recent) = if delta.is_empty() {
-            (Arc::clone(&old.base), Arc::clone(&old.recent))
+        let (base, recent, filter) = if delta.is_empty() {
+            (
+                Arc::clone(&old.base),
+                Arc::clone(&old.recent),
+                Arc::clone(&old.filter),
+            )
         } else {
             let arity = delta.run.arity;
             let recent = Merge::full(&old.recent, &delta.run, false).collect_run(arity);
             let (r, b, d) = (recent.len(), old.base.len(), delta.len());
             if r.saturating_mul(r) > b.saturating_mul(d).saturating_mul(2) {
                 let base = Merge::full(&old.base, &recent, true).collect_run(arity);
-                (Arc::new(base), Arc::new(Run::with_capacity(arity, 0)))
+                (
+                    Arc::new(base),
+                    Arc::new(Run::with_capacity(arity, 0)),
+                    Arc::default(),
+                )
             } else {
-                (Arc::clone(&old.base), Arc::new(recent))
+                let filter = KeyFilter::new(&recent);
+                (Arc::clone(&old.base), Arc::new(recent), Arc::new(filter))
             }
         };
         ViewSnapshot {
@@ -332,6 +422,7 @@ impl ViewSnapshot {
                 ingested,
                 base,
                 recent,
+                filter,
                 len: len as usize,
             }),
         }
@@ -374,13 +465,16 @@ impl ViewSnapshot {
     }
 
     /// Point lookup: the value stored under `key`, if the group is present. At
-    /// most two binary searches: the recent run, then the base.
+    /// most two binary searches: the recent run (skipped when its filter rules the
+    /// key out), then the base.
     pub fn get(&self, key: &[Value]) -> Option<Number> {
         let inner = &*self.inner;
-        match inner.recent.search(key) {
-            Ok(i) => Some(inner.recent.values[i]).filter(|v| !v.is_zero()),
-            Err(_) => inner.base.search(key).ok().map(|i| inner.base.values[i]),
+        if inner.filter.may_contain(key) {
+            if let Ok(i) = inner.recent.search(key) {
+                return Some(inner.recent.values[i]).filter(|v| !v.is_zero());
+            }
         }
+        inner.base.search(key).ok().map(|i| inner.base.values[i])
     }
 
     /// Point lookup with the ring's absent-means-zero convention (the snapshot
@@ -854,6 +948,24 @@ mod tests {
         assert!(s2.is_empty());
         assert_eq!(s2.iter().count(), 0);
         assert_eq!(s2.prefix_scan(&[]).count(), 0);
+    }
+
+    #[test]
+    fn the_recent_filter_keeps_every_key_and_rules_out_most_others() {
+        let mut run = Run::with_capacity(2, 1_000);
+        for i in 0..1_000 {
+            run.push(&key(&[i, 2 * i]), Number::Int(1));
+        }
+        let filter = KeyFilter::new(&run);
+        assert!((0..1_000).all(|i| filter.may_contain(&key(&[i, 2 * i]))));
+        let false_hits = (0..10_000)
+            .filter(|&i| filter.may_contain(&key(&[i, 2 * i + 1])))
+            .count();
+        assert!(
+            false_hits < 1_000,
+            "{false_hits} of 10 000 absent keys passed"
+        );
+        assert!(!KeyFilter::default().may_contain(&key(&[1, 2])));
     }
 
     #[test]
